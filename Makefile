@@ -30,10 +30,10 @@ test:
 race:
 	go test -race ./...
 
-# race-overlap exercises the overlapped substrate build and the concurrent
-# sharded-γ construction under the race detector at an explicit workers=2
-# engine (the smallest size where the removed barriers matter), repeated so
-# goroutine interleavings vary.
+# race-overlap exercises the overlapped substrate build and the parallel
+# graph build under the race detector at an explicit workers=2 engine (the
+# smallest size where the removed barriers matter), repeated so goroutine
+# interleavings vary.
 race-overlap:
 	go test -race -count=2 -run 'Overlap' ./internal/core ./internal/graph
 

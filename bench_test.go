@@ -173,7 +173,7 @@ func benchPipeline(b *testing.B, profile datagen.Profile, scale float64) {
 	b.ResetTimer()
 	var f1 float64
 	for i := 0; i < b.N; i++ {
-		out, err := core.Resolve(d.K1, d.K2, cfg)
+		out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -198,26 +198,44 @@ func BenchmarkPipelineYAGOIMDb(b *testing.B)   { benchPipeline(b, datagen.YAGOIM
 // Component benchmarks: blocking, graph construction, matching — the three
 // synchronization stages of Figure 4.
 
-func benchComponents() (*datagen.Dataset, graph.Input, *graph.Graph) {
+// benchComponents generates YAGO-IMDb at 1/4 scale, assembles its purged
+// Algorithm 1 input and builds the graph over one shard spanning E1; the
+// E1-side γ rows are left to the returned scope.
+func benchComponents(b *testing.B) (*datagen.Dataset, graph.Input, *graph.Graph, *graph.Gamma1Scope) {
+	b.Helper()
 	d, err := datagen.Generate(datagen.Scale(datagen.YAGOIMDb(), 0.25))
 	if err != nil {
-		panic(err)
+		b.Fatal(err)
 	}
+	ctx := context.Background()
 	eng := parallel.New(0)
-	in := graph.InputFor(eng, d.K1, d.K2, 2, 15, 3)
+	in, err := graph.InputForCtx(ctx, eng, d.K1, d.K2, 2, 15, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
 	budget := blocking.ComparisonBudget(d.K1.Len(), d.K2.Len(), 0.0005)
-	in.TokenBlocks, _ = blocking.PurgeAbove(in.TokenBlocks, budget)
 	in.TokenIndex, _ = in.TokenIndex.PurgeAbove(budget)
-	g := graph.Build(eng, in)
-	return d, in, g
+	g, scope, _, err := graph.Build(ctx, eng, in, oneShard(d.K1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, in, g, scope
+}
+
+// oneShard is the shard plan of a single span covering every E1 entity.
+func oneShard(k1 *kb.KB) []parallel.Span {
+	return []parallel.Span{{Lo: 0, Hi: k1.Len()}}
 }
 
 func BenchmarkStageTokenBlocking(b *testing.B) {
-	d, _, _ := benchComponents()
+	d, _, _, _ := benchComponents(b)
 	eng := parallel.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := blocking.TokenBlocks(eng, d.K1, d.K2)
+		c, err := blocking.TokenBlocksCtx(context.Background(), eng, d.K1, d.K2)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if c.Len() == 0 {
 			b.Fatal("no blocks")
 		}
@@ -268,13 +286,23 @@ func BenchmarkNameBlocks(b *testing.B) {
 	}
 }
 
+// BenchmarkStageGraphConstruction times Build plus the E1-side γ rows of
+// the single shard, i.e. the whole of Algorithm 1.
 func BenchmarkStageGraphConstruction(b *testing.B) {
-	_, in, _ := benchComponents()
+	d, in, _, _ := benchComponents(b)
 	eng := parallel.New(0)
+	ctx := context.Background()
+	shards := oneShard(d.K1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := graph.Build(eng, in)
+		g, scope, _, err := graph.Build(ctx, eng, in, shards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := scope.BuildSpan(ctx, shards[0]); err != nil {
+			b.Fatal(err)
+		}
 		if g.Edges() == 0 {
 			b.Fatal("no edges")
 		}
@@ -286,7 +314,7 @@ func BenchmarkStageGraphConstruction(b *testing.B) {
 // token index, K=15. Allocation counts are part of the guard — the
 // per-worker scoreboard leaves one row allocation per entity.
 func BenchmarkBuildBeta(b *testing.B) {
-	d, in, _ := benchComponents()
+	d, in, _, _ := benchComponents(b)
 	eng := parallel.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -305,7 +333,7 @@ func BenchmarkBuildBeta(b *testing.B) {
 // neighbor propagation over the merged β adjacency and E2's reverse
 // top-neighbor index, K=15.
 func BenchmarkGammaRows(b *testing.B) {
-	_, in, g := benchComponents()
+	_, in, g, _ := benchComponents(b)
 	eng := parallel.New(0)
 	adj1 := graph.MergeAdjacency(g.Beta1, g.Beta2, len(in.Top1))
 	in2 := stats.TopInNeighbors(in.Top2)
@@ -322,13 +350,26 @@ func BenchmarkGammaRows(b *testing.B) {
 	}
 }
 
+// BenchmarkStageMatching times Algorithm 2 over a prebuilt graph; the E1
+// γ rows are computed once up front and handed to the matcher, so only the
+// matching rules are timed.
 func BenchmarkStageMatching(b *testing.B) {
-	d, _, g := benchComponents()
+	d, _, g, scope := benchComponents(b)
 	eng := parallel.New(0)
+	ctx := context.Background()
 	cfg := matching.DefaultConfig()
+	shards := oneShard(d.K1)
+	gamma1, err := scope.BuildSpan(ctx, shards[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	gammaFor := func(context.Context, parallel.Span) ([][]graph.Edge, error) { return gamma1, nil }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := matching.Run(eng, g, d.K1, d.K2, cfg)
+		res, err := matching.Run(ctx, eng, g, d.K1, d.K2, cfg, shards, gammaFor)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Matches) == 0 {
 			b.Fatal("no matches")
 		}
@@ -355,7 +396,7 @@ func BenchmarkStatisticsRelationImportances(b *testing.B) {
 	eng := parallel.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ri := stats.RelationImportances(eng, d.K2); len(ri) == 0 {
+		if ri, err := stats.RelationImportancesCtx(context.Background(), eng, d.K2); err != nil || len(ri) == 0 {
 			b.Fatal("no relation stats")
 		}
 	}
@@ -366,7 +407,7 @@ func BenchmarkStatisticsAttributeImportances(b *testing.B) {
 	eng := parallel.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if as := stats.AttributeImportances(eng, d.K2); len(as) == 0 {
+		if as, err := stats.AttributeImportancesCtx(context.Background(), eng, d.K2); err != nil || len(as) == 0 {
 			b.Fatal("no attribute stats")
 		}
 	}
@@ -375,7 +416,11 @@ func BenchmarkStatisticsAttributeImportances(b *testing.B) {
 func BenchmarkStatisticsTopNeighbors(b *testing.B) {
 	d := benchStatsKB(b)
 	eng := parallel.New(0)
-	ranks := stats.RelationRanks(d.K2, stats.RelationImportances(eng, d.K2))
+	ri, err := stats.RelationImportancesCtx(context.Background(), eng, d.K2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ranks := stats.RelationRanks(d.K2, ri)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		top, err := stats.TopNeighborsRanksCtx(context.Background(), eng, d.K2, ranks, 3)
@@ -391,7 +436,11 @@ func BenchmarkStatisticsTopNeighbors(b *testing.B) {
 func BenchmarkStatisticsTopInNeighbors(b *testing.B) {
 	d := benchStatsKB(b)
 	eng := parallel.New(0)
-	ranks := stats.RelationRanks(d.K2, stats.RelationImportances(eng, d.K2))
+	ri, err := stats.RelationImportancesCtx(context.Background(), eng, d.K2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ranks := stats.RelationRanks(d.K2, ri)
 	top, err := stats.TopNeighborsRanksCtx(context.Background(), eng, d.K2, ranks, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -454,7 +503,7 @@ func BenchmarkAblationPurging(b *testing.B) {
 			cfg.MaxBlockFraction = purge.frac
 			var f1 float64
 			for i := 0; i < b.N; i++ {
-				out, err := core.Resolve(d.K1, d.K2, cfg)
+				out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -478,7 +527,7 @@ func BenchmarkAblationK(b *testing.B) {
 			cfg.TopK = k
 			var f1 float64
 			for i := 0; i < b.N; i++ {
-				out, err := core.Resolve(d.K1, d.K2, cfg)
+				out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -505,7 +554,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = w
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Resolve(d.K1, d.K2, cfg); err != nil {
+				if _, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

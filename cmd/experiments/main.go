@@ -45,8 +45,8 @@ func main() {
 		bench     = flag.Bool("bench", false, "run the per-stage pipeline benchmark and write a BENCH JSON report")
 		reps      = flag.Int("reps", 3, "benchmark repetitions per dataset (with -bench)")
 		benchout  = flag.String("benchout", "", "benchmark report path (default BENCH_<date>.json)")
-		shardsCSV = flag.String("shards", "", "comma-separated shard counts to benchmark with ResolveSharded (with -bench)")
-		parCSV    = flag.String("parworkers", "", "comma-separated extra worker counts to benchmark the monolithic pipeline at (0 = all cores; with -bench)")
+		shardsCSV = flag.String("shards", "", "comma-separated E1 shard counts (Config.ShardCount) to benchmark the pipeline at (with -bench)")
+		parCSV    = flag.String("parworkers", "", "comma-separated extra worker counts to benchmark the pipeline at (0 = all cores; with -bench)")
 		check     = flag.String("check", "", "baseline BENCH JSON to gate against (implies -bench; exit 1 on regression)")
 		tolerance = flag.Float64("tolerance", 2.0, "bench-check failure ratio: fail when a stage exceeds baseline×tolerance")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")

@@ -60,7 +60,7 @@ func main() {
 		rules   = flag.Bool("rules", false, "annotate matches with the producing rule")
 		quiet   = flag.Bool("quiet", false, "suppress the summary on stderr")
 		timeout = flag.Duration("timeout", 0, "abort resolution after this duration (0 = no limit)")
-		shards  = flag.Int("shards", 0, "split E1 into this many shards for memory-bounded execution (0 = monolithic)")
+		shards  = flag.Int("shards", 0, "split E1 into this many shards, run one at a time to bound memory (0 or 1 = one shard)")
 		stream  = flag.Bool("stream", false, "load KBs through the streaming ingestion path")
 		query   = flag.String("query", "", "resolve one entity (an E1 URI, or a new URI with statements on stdin) instead of the batch pipeline")
 		jsonOut = flag.Bool("json", false, "with -query, emit candidates as a JSON array")

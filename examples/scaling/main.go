@@ -2,7 +2,7 @@
 // run the same resolution with 1, 2, 4, ... workers, showing that results
 // are bit-identical while wall-clock time drops; then the memory-bounded
 // variant of the same story — split E1 into 1, 2, 4, ... shards
-// (ResolveSharded) and watch peak live heap shrink while the matches stay
+// (Config.ShardCount) and watch peak live heap shrink while the matches stay
 // bit-identical.
 //
 // Run with: go run ./examples/scaling
@@ -70,7 +70,7 @@ func main() {
 		var out *minoaner.Output
 		elapsed, peak, err := timeAndPeakHeap(func() error {
 			var err error
-			out, err = minoaner.ResolveSharded(context.Background(), dataset.K1, dataset.K2, cfg, shards)
+			out, err = minoaner.Resolve(context.Background(), dataset.K1, dataset.K2, cfg)
 			return err
 		})
 		if err != nil {

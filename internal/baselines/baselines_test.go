@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"minoaner/internal/blocking"
@@ -23,8 +24,12 @@ func smallDataset(t *testing.T) *datagen.Dataset {
 	return d
 }
 
-func purgedTokenBlocks(d *datagen.Dataset) *blocking.Collection {
-	tb := blocking.TokenBlocks(seq, d.K1, d.K2)
+func purgedTokenBlocks(t *testing.T, d *datagen.Dataset) *blocking.Collection {
+	t.Helper()
+	tb, err := blocking.TokenBlocksCtx(context.Background(), seq, d.K1, d.K2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cap := int64(float64(d.K1.Len()) * float64(d.K2.Len()) * 0.0005)
 	tb, _ = blocking.PurgeAbove(tb, cap)
 	return tb
@@ -58,9 +63,12 @@ func TestBSLOnRestaurant(t *testing.T) {
 		t.Skip("BSL sweep is slow")
 	}
 	d := smallDataset(t)
-	tb := purgedTokenBlocks(d)
+	tb := purgedTokenBlocks(t, d)
 	cands := CandidatePairs(0, tb)
-	res := BSL(parallel.New(0), d.K1, d.K2, cands, d.GT)
+	res, err := BSL(context.Background(), parallel.New(0), d.K1, d.K2, cands, d.GT)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Explored != 420 {
 		t.Fatalf("explored %d configurations, want 420", res.Explored)
 	}
@@ -73,9 +81,12 @@ func TestBSLOnRestaurant(t *testing.T) {
 
 func TestBSLThresholdMonotonicity(t *testing.T) {
 	d := smallDataset(t)
-	tb := purgedTokenBlocks(d)
+	tb := purgedTokenBlocks(t, d)
 	cands := CandidatePairs(0, tb)
-	res := BSL(parallel.New(0), d.K1, d.K2, cands, d.GT)
+	res, err := BSL(context.Background(), parallel.New(0), d.K1, d.K2, cands, d.GT)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// For a fixed configuration, recall must be non-increasing in the
 	// threshold (UMC keeps a prefix).
 	byCfg := map[string][]BSLOutcome{}
@@ -138,8 +149,11 @@ func TestPARISCollapsesUnderRawNoise(t *testing.T) {
 
 func TestSiGMaOnRestaurant(t *testing.T) {
 	d := smallDataset(t)
-	tb := purgedTokenBlocks(d)
-	got := SiGMa(seq, d.K1, d.K2, tb, DefaultSiGMaConfig())
+	tb := purgedTokenBlocks(t, d)
+	got, err := SiGMa(context.Background(), seq, d.K1, d.K2, tb, DefaultSiGMaConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertOneToOne(t, got)
 	m := eval.Evaluate(got, d.GT)
 	if m.F1 < 0.8 {
@@ -149,8 +163,11 @@ func TestSiGMaOnRestaurant(t *testing.T) {
 
 func TestLINDAStyleRuns(t *testing.T) {
 	d := smallDataset(t)
-	tb := purgedTokenBlocks(d)
-	got := SiGMa(seq, d.K1, d.K2, tb, LINDAStyleConfig())
+	tb := purgedTokenBlocks(t, d)
+	got, err := SiGMa(context.Background(), seq, d.K1, d.K2, tb, LINDAStyleConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertOneToOne(t, got)
 	m := eval.Evaluate(got, d.GT)
 	if m.F1 <= 0 {
@@ -160,7 +177,10 @@ func TestLINDAStyleRuns(t *testing.T) {
 
 func TestRiMOMOnRestaurant(t *testing.T) {
 	d := smallDataset(t)
-	got := RiMOMIM(seq, d.K1, d.K2, DefaultRiMOMConfig())
+	got, err := RiMOMIM(context.Background(), seq, d.K1, d.K2, DefaultRiMOMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertOneToOne(t, got)
 	m := eval.Evaluate(got, d.GT)
 	// RiMOM-IM's fixed global threshold cannot adapt to Restaurant's short
@@ -221,7 +241,10 @@ func TestTopTerms(t *testing.T) {
 
 func TestNameSeedsFigure1(t *testing.T) {
 	w, d := testkb.Figure1()
-	seeds := nameSeeds(seq, w, d, 2)
+	seeds, err := nameSeeds(context.Background(), seq, w, d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
 	for _, p := range seeds {
 		if w.Entity(p.E1).URI == "w:JohnLakeA" {

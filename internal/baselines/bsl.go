@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -60,18 +61,25 @@ func thresholdSteps() []float64 {
 // Implementation note: UMC's greedy selection is independent of the
 // threshold (the threshold only truncates the scan), so each (n, weighting,
 // measure) needs a single scoring pass and a single greedy pass; the 20
-// thresholds are evaluated on the selected prefix.
-func BSL(e *parallel.Engine, k1, k2 *kb.KB, candidates []eval.Pair, gt *eval.GroundTruth) BSLResult {
+// thresholds are evaluated on the selected prefix. The scoring passes
+// observe ctx between chunks.
+func BSL(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, candidates []eval.Pair, gt *eval.GroundTruth) (BSLResult, error) {
 	var res BSLResult
 	for n := 1; n <= 3; n++ {
 		for _, w := range []similarity.Weighting{similarity.TF, similarity.TFIDF} {
-			corpus := similarity.BuildPairCorpus(e, k1, k2, n, w)
+			corpus, err := similarity.BuildPairCorpus(ctx, e, k1, k2, n, w)
+			if err != nil {
+				return BSLResult{}, err
+			}
 			measures := []similarity.Measure{similarity.Cosine, similarity.Jaccard, similarity.GeneralizedJaccard}
 			if w == similarity.TFIDF {
 				measures = append(measures, similarity.SiGMaSim)
 			}
 			for _, m := range measures {
-				scored := scorePairs(e, corpus, m, candidates)
+				scored, err := scorePairs(ctx, e, corpus, m, candidates)
+				if err != nil {
+					return BSLResult{}, err
+				}
 				selected := matching.UniqueMappingClustering(scoredToPairs(scored), 0)
 				outcomes := evaluateThresholds(n, w, m, scored, selected, gt)
 				res.Sweep = append(res.Sweep, outcomes...)
@@ -84,20 +92,23 @@ func BSL(e *parallel.Engine, k1, k2 *kb.KB, candidates []eval.Pair, gt *eval.Gro
 			res.Best = o
 		}
 	}
-	return res
+	return res, nil
 }
 
 // scorePairs computes the similarity of every candidate pair in parallel.
-func scorePairs(e *parallel.Engine, pc *similarity.PairCorpus, m similarity.Measure, candidates []eval.Pair) map[eval.Pair]float64 {
-	scores := parallel.Map(e, len(candidates), func(i int) float64 {
+func scorePairs(ctx context.Context, e *parallel.Engine, pc *similarity.PairCorpus, m similarity.Measure, candidates []eval.Pair) (map[eval.Pair]float64, error) {
+	scores, err := parallel.MapCtx(ctx, e, len(candidates), func(i int) (float64, error) {
 		p := candidates[i]
-		return similarity.Similarity(m, &pc.V1[p.E1], &pc.V2[p.E2])
+		return similarity.Similarity(m, &pc.V1[p.E1], &pc.V2[p.E2]), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[eval.Pair]float64, len(candidates))
 	for i, p := range candidates {
 		out[p] = scores[i]
 	}
-	return out
+	return out, nil
 }
 
 func scoredToPairs(scores map[eval.Pair]float64) []matching.ScoredPair {

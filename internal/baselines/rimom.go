@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"sort"
 
 	"minoaner/internal/eval"
@@ -32,12 +33,16 @@ func DefaultRiMOMConfig() RiMOMConfig {
 // shared predicate names), value matching with a threshold, and the
 // "one-left-object" heuristic — if two matched entities are connected via
 // aligned relations and all but one of their neighbors are matched, the
-// remaining neighbor pair is matched too.
-func RiMOMIM(e *parallel.Engine, k1, k2 *kb.KB, cfg RiMOMConfig) []eval.Pair {
+// remaining neighbor pair is matched too. The parallel passes observe ctx
+// between chunks.
+func RiMOMIM(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, cfg RiMOMConfig) ([]eval.Pair, error) {
 	if cfg.TopTokens <= 0 {
 		cfg = DefaultRiMOMConfig()
 	}
-	corpus := similarity.BuildPairCorpus(e, k1, k2, 1, similarity.TFIDF)
+	corpus, err := similarity.BuildPairCorpus(ctx, e, k1, k2, 1, similarity.TFIDF)
+	if err != nil {
+		return nil, err
+	}
 	sim := func(p eval.Pair) float64 {
 		return similarity.Similarity(similarity.SiGMaSim, &corpus.V1[p.E1], &corpus.V2[p.E2])
 	}
@@ -81,7 +86,10 @@ func RiMOMIM(e *parallel.Engine, k1, k2 *kb.KB, cfg RiMOMConfig) []eval.Pair {
 
 	// Initial value-based matching.
 	scored := make([]matching.ScoredPair, 0, len(candidates))
-	scores := parallel.Map(e, len(candidates), func(i int) float64 { return sim(candidates[i]) })
+	scores, err := parallel.MapCtx(ctx, e, len(candidates), func(i int) (float64, error) { return sim(candidates[i]), nil })
+	if err != nil {
+		return nil, err
+	}
 	for i, p := range candidates {
 		scored = append(scored, matching.ScoredPair{Pair: p, Score: scores[i]})
 	}
@@ -123,7 +131,7 @@ func RiMOMIM(e *parallel.Engine, k1, k2 *kb.KB, cfg RiMOMConfig) []eval.Pair {
 	for x, y := range matched1 {
 		out = append(out, eval.Pair{E1: x, E2: y})
 	}
-	return sortedPairList(out)
+	return sortedPairList(out), nil
 }
 
 // topTerms returns the k terms of highest weight (ties by term).

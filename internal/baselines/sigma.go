@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"container/heap"
+	"context"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
@@ -88,7 +89,7 @@ func (h *pairHeap) Pop() interface{} {
 // and the fraction of already-matched neighbors. Matching is data-driven
 // and iterative — each new match re-scores its neighborhood — in contrast
 // to MinoanER's fixed four-rule pass.
-func SiGMa(e *parallel.Engine, k1, k2 *kb.KB, tokenBlocks *blocking.Collection, cfg SiGMaConfig) []eval.Pair {
+func SiGMa(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, tokenBlocks *blocking.Collection, cfg SiGMaConfig) ([]eval.Pair, error) {
 	if cfg.RelationCompat == nil {
 		def := DefaultSiGMaConfig()
 		if cfg.Alpha == 0 {
@@ -105,7 +106,10 @@ func SiGMa(e *parallel.Engine, k1, k2 *kb.KB, tokenBlocks *blocking.Collection, 
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 10 * (k1.Len() + k2.Len())
 	}
-	corpus := similarity.BuildPairCorpus(e, k1, k2, 1, similarity.TFIDF)
+	corpus, err := similarity.BuildPairCorpus(ctx, e, k1, k2, 1, similarity.TFIDF)
+	if err != nil {
+		return nil, err
+	}
 	valueSim := func(p eval.Pair) float64 {
 		return similarity.Similarity(similarity.SiGMaSim, &corpus.V1[p.E1], &corpus.V2[p.E2])
 	}
@@ -145,7 +149,11 @@ func SiGMa(e *parallel.Engine, k1, k2 *kb.KB, tokenBlocks *blocking.Collection, 
 
 	h := &pairHeap{}
 	// Seeds: globally unique identical names (score 1, matched first).
-	for _, p := range nameSeeds(e, k1, k2, cfg.NameK) {
+	seeds, err := nameSeeds(ctx, e, k1, k2, cfg.NameK)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range seeds {
 		heap.Push(h, pqItem{p, 1.0})
 	}
 	// Blocking: pairs sharing at least two common tokens ([21] as cited in
@@ -201,14 +209,22 @@ func SiGMa(e *parallel.Engine, k1, k2 *kb.KB, tokenBlocks *blocking.Collection, 
 			}
 		}
 	}
-	return sortedPairList(out)
+	return sortedPairList(out), nil
 }
 
 // nameSeeds returns pairs whose normalized names collide uniquely across
 // the KBs (one holder per side).
-func nameSeeds(e *parallel.Engine, k1, k2 *kb.KB, nameK int) []eval.Pair {
-	nl1 := stats.NewNameLookup(k1, stats.NameAttributes(e, k1, nameK))
-	nl2 := stats.NewNameLookup(k2, stats.NameAttributes(e, k2, nameK))
+func nameSeeds(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, nameK int) ([]eval.Pair, error) {
+	attrs1, err := stats.NameAttributesCtx(ctx, e, k1, nameK)
+	if err != nil {
+		return nil, err
+	}
+	attrs2, err := stats.NameAttributesCtx(ctx, e, k2, nameK)
+	if err != nil {
+		return nil, err
+	}
+	nl1 := stats.NewNameLookup(k1, attrs1)
+	nl2 := stats.NewNameLookup(k2, attrs2)
 	names1 := make(map[string][]kb.EntityID)
 	for i := 0; i < k1.Len(); i++ {
 		for _, n := range nl1.Names(kb.EntityID(i)) {
@@ -228,7 +244,7 @@ func nameSeeds(e *parallel.Engine, k1, k2 *kb.KB, nameK int) []eval.Pair {
 			out = append(out, eval.Pair{E1: xs[0], E2: ys[0]})
 		}
 	}
-	return sortedPairList(out)
+	return sortedPairList(out), nil
 }
 
 // pairsWithMinSharedBlocks returns the distinct pairs co-occurring in at

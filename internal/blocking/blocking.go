@@ -111,12 +111,6 @@ func TokenBlocksCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB) (*Co
 	return ix.Collection(), nil
 }
 
-// TokenBlocks is TokenBlocksCtx without cancellation.
-func TokenBlocks(e *parallel.Engine, k1, k2 *kb.KB) *Collection {
-	out, _ := TokenBlocksCtx(context.Background(), e, k1, k2)
-	return out
-}
-
 // NameBlocksCtx builds name blocking (§3.1, h_N): one block per normalized
 // name value under each KB's top-k name attributes. The matcher's R1 rule
 // uses only blocks of size 1×1 (a name unique in both KBs), but the full
@@ -151,12 +145,6 @@ func NameBlocksMapRef(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, na
 				yield(n)
 			}
 		})
-}
-
-// NameBlocks is NameBlocksCtx without cancellation.
-func NameBlocks(e *parallel.Engine, k1, k2 *kb.KB, nameAttrs1, nameAttrs2 []string) *Collection {
-	out, _ := NameBlocksCtx(context.Background(), e, k1, k2, nameAttrs1, nameAttrs2)
-	return out
 }
 
 // PurgeAbove removes blocks whose comparison count exceeds maxComparisons

@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -13,10 +14,58 @@ import (
 
 var seq = parallel.Sequential()
 
+// The helpers below run a blocking or statistics pass under a background
+// context and fail the test on an error.
+
+func tokenBlocks(t testing.TB, e *parallel.Engine, k1, k2 *kb.KB) *Collection {
+	t.Helper()
+	c, err := TokenBlocksCtx(context.Background(), e, k1, k2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func nameBlocks(t testing.TB, e *parallel.Engine, k1, k2 *kb.KB, nameAttrs1, nameAttrs2 []string) *Collection {
+	t.Helper()
+	c, err := NameBlocksCtx(context.Background(), e, k1, k2, nameAttrs1, nameAttrs2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func newTokenIndex(t testing.TB, e *parallel.Engine, k1, k2 *kb.KB) *TokenIndex {
+	t.Helper()
+	ix, err := NewTokenIndexCtx(context.Background(), e, k1, k2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func buildEF(t testing.TB, e *parallel.Engine, k *kb.KB) *stats.EFIndex {
+	t.Helper()
+	ix, err := stats.BuildEFCtx(context.Background(), e, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func nameAttributes(t testing.TB, e *parallel.Engine, k *kb.KB, topK int) []string {
+	t.Helper()
+	out, err := stats.NameAttributesCtx(context.Background(), e, k, topK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func figure1Blocks(t *testing.T) (*kb.KB, *kb.KB, *Collection) {
 	t.Helper()
 	w, d := testkb.Figure1()
-	return w, d, TokenBlocks(seq, w, d)
+	return w, d, tokenBlocks(t, seq, w, d)
 }
 
 func TestTokenBlocksBasics(t *testing.T) {
@@ -81,7 +130,7 @@ func sharedToken(a, b []string) string {
 // frequencies, which is what lets Algorithm 1 derive valueSim from blocks.
 func TestBlockSizesEqualEF(t *testing.T) {
 	w, d, blocks := figure1Blocks(t)
-	ef1, ef2 := stats.BuildEF(seq, w), stats.BuildEF(seq, d)
+	ef1, ef2 := buildEF(t, seq, w), buildEF(t, seq, d)
 	for _, b := range blocks.Blocks {
 		if len(b.E1) != ef1.EF(b.Key) || len(b.E2) != ef2.EF(b.Key) {
 			t.Fatalf("block %q sizes %d×%d != EF %d×%d",
@@ -92,9 +141,9 @@ func TestBlockSizesEqualEF(t *testing.T) {
 
 func TestNameBlocks(t *testing.T) {
 	w, d := testkb.Figure1()
-	n1 := stats.NameAttributes(seq, w, 2)
-	n2 := stats.NameAttributes(seq, d, 2)
-	nb := NameBlocks(seq, w, d, n1, n2)
+	n1 := nameAttributes(t, seq, w, 2)
+	n2 := nameAttributes(t, seq, d, 2)
+	nb := nameBlocks(t, seq, w, d, n1, n2)
 	ix := NewIndex(nb)
 	b := ix.Lookup("j lake")
 	if b == nil {
@@ -115,9 +164,9 @@ func keysOf(c *Collection) []string {
 
 func TestParallelDeterminism(t *testing.T) {
 	w, d := testkb.Figure1()
-	ref := TokenBlocks(seq, w, d)
+	ref := tokenBlocks(t, seq, w, d)
 	for _, workers := range []int{2, 4, 8} {
-		got := TokenBlocks(parallel.New(workers), w, d)
+		got := tokenBlocks(t, parallel.New(workers), w, d)
 		if len(got.Blocks) != len(ref.Blocks) {
 			t.Fatalf("workers=%d: %d blocks, want %d", workers, len(got.Blocks), len(ref.Blocks))
 		}

@@ -85,8 +85,8 @@ func TestNameIndexFigure1(t *testing.T) {
 	w, d := testkb.Figure1()
 	ctx := context.Background()
 	eng := parallel.New(2)
-	na1 := stats.NameAttributes(eng, w, 2)
-	na2 := stats.NameAttributes(eng, d, 2)
+	na1 := nameAttributes(t, eng, w, 2)
+	na2 := nameAttributes(t, eng, d, 2)
 	ix, err := NewNameIndexCtx(ctx, eng, w, d, na1, na2)
 	if err != nil {
 		t.Fatal(err)

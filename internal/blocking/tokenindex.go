@@ -218,12 +218,6 @@ func memberFillAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int
 	return mem, off, nil
 }
 
-// NewTokenIndex is NewTokenIndexCtx without cancellation.
-func NewTokenIndex(e *parallel.Engine, k1, k2 *kb.KB) *TokenIndex {
-	ix, _ := NewTokenIndexCtx(context.Background(), e, k1, k2)
-	return ix
-}
-
 // mergeDict interns every token of src into joint and returns the
 // src-ID → joint-slot translation table.
 func mergeDict(src *kb.Interner, joint *kb.Interner) []int32 {
@@ -258,62 +252,8 @@ func offsets(counts []int32) []int32 {
 	return off
 }
 
-// IndexFromCollection builds a TokenIndex view over an existing (typically
-// purged) block collection: slots are block positions, member lists are
-// concatenated into the index's flat CSRs, and the translation tables are
-// filled with one dictionary lookup per distinct token of each KB. This is
-// the compatibility path for callers that assemble a graph input from a bare
-// Collection; the pipeline threads the purged index itself.
-func IndexFromCollection(c *Collection, k1, k2 *kb.KB) *TokenIndex {
-	n := len(c.Blocks)
-	ix := &TokenIndex{
-		keys:   make([]string, n),
-		o1:     make([]int32, n+1),
-		o2:     make([]int32, n+1),
-		weight: make([]float64, n),
-		live:   n,
-	}
-	byKey := make(map[string]int32, n)
-	for s := range c.Blocks {
-		b := &c.Blocks[s]
-		ix.keys[s] = b.Key
-		ix.o1[s+1] = ix.o1[s] + int32(len(b.E1))
-		ix.o2[s+1] = ix.o2[s] + int32(len(b.E2))
-		ix.weight[s] = stats.TokenWeight(len(b.E1), len(b.E2))
-		byKey[b.Key] = int32(s)
-	}
-	ix.m1 = make([]kb.EntityID, 0, ix.o1[n])
-	ix.m2 = make([]kb.EntityID, 0, ix.o2[n])
-	for s := range c.Blocks {
-		ix.m1 = append(ix.m1, c.Blocks[s].E1...)
-		ix.m2 = append(ix.m2, c.Blocks[s].E2...)
-	}
-	ix.t1 = translateByKey(k1.TokenDict(), byKey)
-	ix.t2 = translateByKey(k2.TokenDict(), byKey)
-	return ix
-}
-
-// translateByKey maps every token of dict to its block slot, -1 if absent.
-func translateByKey(dict *kb.Interner, byKey map[string]int32) []int32 {
-	if dict == nil {
-		return []int32{}
-	}
-	n := dict.Len()
-	t := make([]int32, n)
-	for id := 0; id < n; id++ {
-		if s, ok := byKey[dict.TokenString(kb.TokenID(id))]; ok {
-			t[id] = s
-		} else {
-			t[id] = -1
-		}
-	}
-	return t
-}
-
 // Live returns the number of live token slots — the block count Collection
-// would materialize. Graph construction uses it (together with
-// TotalComparisons) as a cheap consistency check between a caller-supplied
-// index and collection.
+// would materialize.
 func (ix *TokenIndex) Live() int { return ix.live }
 
 // TotalComparisons returns ‖B‖ over the live slots: the aggregate cross-KB

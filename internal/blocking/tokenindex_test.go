@@ -31,7 +31,7 @@ func collectBeta(ix *TokenIndex, k *kb.KB, fromE1 bool) [][]float64 {
 func TestTokenIndexCollectionMatchesTokenBlocks(t *testing.T) {
 	w, d := testkb.Figure1() // separate dictionaries → translation path
 	eng := parallel.New(2)
-	ix := NewTokenIndex(eng, w, d)
+	ix := newTokenIndex(t, eng, w, d)
 	got := ix.Collection()
 	if got.Len() == 0 {
 		t.Fatal("no token blocks")
@@ -39,9 +39,12 @@ func TestTokenIndexCollectionMatchesTokenBlocks(t *testing.T) {
 	if ix.Live() != got.Len() {
 		t.Errorf("Live = %d, Collection len = %d", ix.Live(), got.Len())
 	}
-	viaAPI := TokenBlocks(eng, w, d)
+	if ix.TotalComparisons() != got.TotalComparisons() {
+		t.Errorf("TotalComparisons = %d, Collection's = %d", ix.TotalComparisons(), got.TotalComparisons())
+	}
+	viaAPI := tokenBlocks(t, eng, w, d)
 	if !reflect.DeepEqual(got, viaAPI) {
-		t.Error("Collection() and TokenBlocks() disagree")
+		t.Error("Collection() and TokenBlocksCtx disagree")
 	}
 	for i := 1; i < len(got.Blocks); i++ {
 		if got.Blocks[i-1].Key >= got.Blocks[i].Key {
@@ -83,8 +86,8 @@ func TestTokenIndexSharedVsDisjointDictionaries(t *testing.T) {
 	if k1d.TokenDict() == k2d.TokenDict() {
 		t.Fatal("disjoint build shares a dictionary")
 	}
-	ixs := NewTokenIndex(eng, k1s, k2s)
-	ixd := NewTokenIndex(eng, k1d, k2d)
+	ixs := newTokenIndex(t, eng, k1s, k2s)
+	ixd := newTokenIndex(t, eng, k1d, k2d)
 	if !reflect.DeepEqual(ixs.Collection(), ixd.Collection()) {
 		t.Error("collections differ between shared and disjoint dictionaries")
 	}
@@ -115,9 +118,9 @@ func TestTokenIndexDeterministicAcrossWorkers(t *testing.T) {
 		b2.AddLiteral(e2, "label", label)
 	}
 	k1, k2 := b1.Build(), b2.Build()
-	ref := NewTokenIndex(parallel.Sequential(), k1, k2).Collection()
+	ref := newTokenIndex(t, parallel.Sequential(), k1, k2).Collection()
 	for _, workers := range []int{2, 7, 16} {
-		got := NewTokenIndex(parallel.New(workers), k1, k2).Collection()
+		got := newTokenIndex(t, parallel.New(workers), k1, k2).Collection()
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("index differs with %d workers", workers)
 		}
@@ -129,7 +132,7 @@ func TestTokenIndexDeterministicAcrossWorkers(t *testing.T) {
 func TestTokenIndexPurgeAboveMatchesCollectionPurge(t *testing.T) {
 	w, d := testkb.Figure1()
 	eng := parallel.Sequential()
-	ix := NewTokenIndex(eng, w, d)
+	ix := newTokenIndex(t, eng, w, d)
 	full := ix.Collection()
 	const threshold = 1 // keep only 1×1 blocks
 	purgedIx, n := ix.PurgeAbove(threshold)
@@ -145,29 +148,6 @@ func TestTokenIndexPurgeAboveMatchesCollectionPurge(t *testing.T) {
 	}
 	if keep, n := ix.PurgeAbove(0); keep != ix || n != 0 {
 		t.Error("non-positive threshold must be a no-op view")
-	}
-}
-
-// IndexFromCollection must reproduce the same walk as the natively built
-// index for the same (purged) collection.
-func TestIndexFromCollectionMatchesNativeIndex(t *testing.T) {
-	w, d := testkb.Figure1()
-	eng := parallel.Sequential()
-	native := NewTokenIndex(eng, w, d)
-	native, _ = native.PurgeAbove(2)
-	col := native.Collection()
-	derived := IndexFromCollection(col, w, d)
-	if derived.Live() != col.Len() {
-		t.Errorf("derived Live = %d, want %d", derived.Live(), col.Len())
-	}
-	if !reflect.DeepEqual(collectBeta(native, w, true), collectBeta(derived, w, true)) {
-		t.Error("E1 walks differ between native and derived index")
-	}
-	if !reflect.DeepEqual(collectBeta(native, d, false), collectBeta(derived, d, false)) {
-		t.Error("E2 walks differ between native and derived index")
-	}
-	if !reflect.DeepEqual(derived.Collection(), col) {
-		t.Error("derived collection differs")
 	}
 }
 

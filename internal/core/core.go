@@ -6,7 +6,8 @@
 //
 // The pipeline is configured by the paper's four parameters — k (name
 // attributes), K (candidates per node), N (top relations) and θ (rank
-// aggregation trade-off) — plus the worker count of the parallel engine.
+// aggregation trade-off) — plus the worker count of the parallel engine and
+// the number of E1 shards the per-entity stages walk one at a time.
 package core
 
 import (
@@ -43,17 +44,13 @@ type Config struct {
 	MaxBlockFraction float64
 	// Workers sets the parallel engine size; 0 uses all cores.
 	Workers int
-	// ShardCount (P) splits E1 into P contiguous entity shards and runs the
-	// per-entity stages (top-neighbor extraction, β/γ rows, rank
-	// aggregation) one shard at a time with bounded transient memory —
-	// see ResolveSharded. 0 or 1 selects the monolithic pipeline unless
-	// MaxShardBytes implies a larger count. Output is byte-identical to the
-	// monolithic run for every value.
+	// ShardCount (P) splits E1 into P contiguous entity shards: the
+	// per-entity stages (top-neighbor extraction, E1 β rows, E1 γ rows and
+	// rank aggregation) run one shard at a time, so their transient state
+	// lives one shard at a time. 0 or 1 means a single shard spanning E1;
+	// counts above |E1| are capped at |E1|. Output is byte-identical for
+	// every value.
 	ShardCount int
-	// MaxShardBytes caps the estimated size of the dominant per-shard
-	// structure (the shard's γ candidate rows); when ShardCount is 0 the
-	// shard count is derived from it. 0 means no byte-based cap.
-	MaxShardBytes int64
 	// OmitTokenBlocks skips materializing the historical token-block
 	// collection in Output.TokenBlocks (nil instead). The collection exists
 	// only for Table-2 statistics — graph construction walks the columnar
@@ -105,8 +102,8 @@ func (c Config) normalize() (Config, error) {
 	if c.NameK < 0 || c.TopK <= 0 || c.RelN < 0 {
 		return c, fmt.Errorf("core: invalid config: k=%d K=%d N=%d must be non-negative (K positive)", c.NameK, c.TopK, c.RelN)
 	}
-	if c.ShardCount < 0 || c.MaxShardBytes < 0 {
-		return c, fmt.Errorf("core: invalid config: ShardCount=%d MaxShardBytes=%d must be non-negative", c.ShardCount, c.MaxShardBytes)
+	if c.ShardCount < 0 {
+		return c, fmt.Errorf("core: invalid config: ShardCount=%d must be non-negative", c.ShardCount)
 	}
 	if c.Theta <= 0 || c.Theta >= 1 {
 		return c, fmt.Errorf("core: invalid config: θ=%v must lie in (0,1)", c.Theta)
@@ -141,11 +138,11 @@ type Timings struct {
 	BlockingName  time.Duration
 	BlockingToken time.Duration
 	Graph         time.Duration
-	// GraphBeta covers name evidence plus both β directions (one concurrent
-	// barrier); GraphGamma the adjacency merges, in-neighbor reversals and
-	// both γ directions — in the sharded pipeline including the E1 γ rows
-	// produced on demand during matching. They sum to slightly less than
-	// Graph, which also counts input assembly around the two phases.
+	// GraphBeta covers name evidence plus both β directions; GraphGamma the
+	// adjacency merges, in-neighbor reversals and both γ directions,
+	// including the E1 γ rows produced shard by shard during matching. They
+	// sum to slightly less than Graph, which also counts the set-up around
+	// the two phases. Matching excludes the E1 γ rows it waited on.
 	GraphBeta  time.Duration
 	GraphGamma time.Duration
 	Matching   time.Duration
@@ -182,24 +179,15 @@ func (o *Output) Pairs() []eval.Pair {
 	return out
 }
 
-// Resolve runs the full MinoanER pipeline on two clean KBs.
-func Resolve(k1, k2 *kb.KB, cfg Config) (*Output, error) {
-	return ResolveContext(context.Background(), k1, k2, cfg)
-}
-
 // ResolveContext runs the full MinoanER pipeline on two clean KBs under the
 // given context: it builds the substrate (stages 1–2) and resolves with it
-// (stages 3–4) in one composition — byte-identical to the historical
-// monolithic pipeline, as the pinned-digest tests prove. Cancellation is
-// cooperative: every data-parallel pass observes ctx between chunks, so the
-// pipeline aborts promptly (returning ctx.Err()) when the context is
-// cancelled or its deadline expires — the early-termination primitive that
-// progressive/any-time ER and request timeouts in a serving deployment both
-// need.
-//
-// When cfg requests sharded execution (ShardCount > 1, or a MaxShardBytes
-// budget that implies more than one shard), resolution runs over the
-// partitioned engine — see ResolveSharded; output is identical either way.
+// (stages 3–4) in one composition, with E1 split into cfg.ShardCount
+// shards. The pinned-digest tests hold the output byte-identical for every
+// shard and worker count. Cancellation is cooperative: every data-parallel
+// pass observes ctx between chunks, so the pipeline aborts promptly
+// (returning ctx.Err()) when the context is cancelled or its deadline
+// expires — the early-termination primitive that progressive/any-time ER
+// and request timeouts in a serving deployment both need.
 func ResolveContext(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Output, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -216,10 +204,10 @@ func ResolveContext(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Output, er
 
 // ResolveWith runs resolution (graph construction + matching, stages 3–4)
 // over a prebuilt substrate. Only the matching-side parameters of cfg apply
-// — TopK, Theta, Rules, Workers and the sharding fields; the substrate's
-// baked-in build parameters (NameK, RelN, MaxBlockFraction) are used as
-// frozen. Calling BuildSubstrate then ResolveWith with one Config is
-// byte-identical to Resolve with that Config; the substrate is not mutated,
+// — TopK, Theta, Rules, Workers and ShardCount; the substrate's baked-in
+// build parameters (NameK, RelN, MaxBlockFraction) are used as frozen.
+// Calling BuildSubstrate then ResolveWith with one Config is byte-identical
+// to ResolveContext with that Config; the substrate is not mutated,
 // so several ResolveWith calls (e.g. rule ablations over one substrate) may
 // run concurrently.
 func ResolveWith(ctx context.Context, sub *Substrate, cfg Config) (*Output, error) {
@@ -245,51 +233,82 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 		NameAttrs2:     sub.nameAttrs2,
 		Timings:        sub.timings,
 	}
-	in := graph.Input{
+	if !cfg.OmitTokenBlocks {
+		out.TokenBlocks = sub.TokenBlocks()
+	}
+	mc := *cfg.Rules
+	mc.Theta = cfg.Theta
+	shards := shardSpans(sub.k1.Len(), p)
+
+	// Stage 3 — disjunctive blocking graph (Algorithm 1): α, both β
+	// directions and the E2-side γ lists are materialized; the E1-side γ
+	// rows are left to the scope and produced per shard during matching.
+	t0 := time.Now()
+	g, scope, gt, err := graph.Build(ctx, eng, graph.Input{
 		K1: sub.k1, K2: sub.k2,
 		NameBlocks: sub.nameBlocks,
 		TokenIndex: sub.tokenIx,
 		Top1:       sub.top1,
 		Top2:       sub.top2,
 		K:          cfg.TopK,
-	}
-	if !cfg.OmitTokenBlocks {
-		out.TokenBlocks = sub.TokenBlocks()
-		in.TokenBlocks = out.TokenBlocks
-	}
-	mc := *cfg.Rules
-	mc.Theta = cfg.Theta
-
-	if p > 1 {
-		if err := resolveShardedStages(ctx, eng, sub, in, mc, p, out); err != nil {
-			return nil, err
-		}
-		out.Timings.Total = sub.buildWall + time.Since(start)
-		return out, nil
-	}
-
-	// Stage 3 — disjunctive blocking graph (Algorithm 1), with the β and γ
-	// weighting phases timed separately for the regression gate.
-	t0 := time.Now()
-	g, gt, err := graph.BuildTimedCtx(ctx, eng, in)
+	}, shards)
 	if err != nil {
 		return nil, err
 	}
-	out.GraphEdges = g.Edges()
 	out.Timings.Graph = time.Since(t0)
 	out.Timings.GraphBeta = gt.Beta
 	out.Timings.GraphGamma = gt.Gamma
 
-	// Stage 4 — non-iterative matching (Algorithm 2).
+	// Stage 4 — non-iterative matching (Algorithm 2). The time spent inside
+	// the scope is accounted to the graph stage, and the rows are tallied so
+	// GraphEdges counts every retained directed edge even though the E1 γ
+	// lists never exist at once.
 	t0 = time.Now()
-	res, err := matching.RunCtx(ctx, eng, g, sub.k1, sub.k2, mc)
+	var gammaTime time.Duration
+	gamma1Edges := 0
+	gammaFor := func(gctx context.Context, s parallel.Span) ([][]graph.Edge, error) {
+		gt := time.Now()
+		rows, err := scope.BuildSpan(gctx, s)
+		gammaTime += time.Since(gt)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rows {
+			gamma1Edges += len(r)
+		}
+		return rows, nil
+	}
+	res, err := matching.Run(ctx, eng, g, sub.k1, sub.k2, mc, shards, gammaFor)
 	if err != nil {
 		return nil, err
 	}
 	out.Matches = res.Matches
 	out.RemovedByR4 = res.RemovedByR4
-	out.Timings.Matching = time.Since(t0)
-
+	out.GraphEdges = g.Edges() + gamma1Edges
+	out.Timings.Graph += gammaTime
+	out.Timings.GraphGamma += gammaTime
+	out.Timings.Matching = time.Since(t0) - gammaTime
 	out.Timings.Total = sub.buildWall + time.Since(start)
 	return out, nil
+}
+
+// effectiveShards resolves the shard count of a normalized Config for an E1
+// of n1 entities: ShardCount, at least 1 and at most n1.
+func (c Config) effectiveShards(n1 int) int {
+	p := c.ShardCount
+	if p < 1 {
+		p = 1
+	}
+	if p > n1 && n1 > 0 {
+		p = n1
+	}
+	return p
+}
+
+// shardSpans partitions [0, n) into at most p contiguous ascending spans of
+// near-equal size (never empty; nil for n == 0). Each shard touches only
+// its E1 span plus the shared read-only indices — the in-process analogue
+// of the paper's executor partitioning (§4.1).
+func shardSpans(n, p int) []parallel.Span {
+	return parallel.New(p).Partitions(n)
 }

@@ -30,7 +30,7 @@ const pinnedDigestsPath = "testdata/pinned_digests.json"
 type pinnedCase struct {
 	Dataset string `json:"dataset"` // "skewed-300" or a preset name
 	Workers int    `json:"workers"`
-	Shards  int    `json:"shards"` // 1 = monolithic Resolve
+	Shards  int    `json:"shards"` // Config.ShardCount; 1 = one shard spanning E1
 	SHA256  string `json:"sha256"`
 }
 
@@ -74,16 +74,7 @@ func pinnedMatrix() []pinnedCase {
 
 func runPinnedCase(t *testing.T, c pinnedCase, k1, k2 *kb.KB) [32]byte {
 	t.Helper()
-	cfg := Config{Workers: c.Workers}
-	var (
-		out *Output
-		err error
-	)
-	if c.Shards > 1 {
-		out, err = ResolveSharded(context.Background(), k1, k2, cfg, c.Shards)
-	} else {
-		out, err = Resolve(k1, k2, cfg)
-	}
+	out, err := ResolveContext(context.Background(), k1, k2, Config{Workers: c.Workers, ShardCount: c.Shards})
 	if err != nil {
 		t.Fatalf("%s workers=%d shards=%d: %v", c.Dataset, c.Workers, c.Shards, err)
 	}

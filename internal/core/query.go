@@ -95,8 +95,8 @@ type nameUsers struct {
 }
 
 // queryState is the lazily built read-only state shared by every query on
-// one substrate: the frozen disjunctive blocking graph of the pair (Gamma1
-// left to the scope — per-query γ rows are computed on demand, never
+// one substrate: the frozen disjunctive blocking graph of the pair (E1-side
+// γ rows are left to the scope — computed per query on demand, never
 // materialized for all of E1), the name-usage index behind the α rule, and
 // the scratch pool.
 type queryState struct {
@@ -146,14 +146,14 @@ func (s *Substrate) queryState(ctx context.Context) (*queryState, error) {
 		return st, nil
 	}
 	eng := parallel.New(s.cfg.Workers)
-	g, scope, _, err := graph.BuildShardedCtx(ctx, eng, graph.Input{
+	g, scope, _, err := graph.Build(ctx, eng, graph.Input{
 		K1: s.k1, K2: s.k2,
 		NameBlocks: s.nameBlocks,
 		TokenIndex: s.tokenIx,
 		Top1:       s.top1,
 		Top2:       s.top2,
 		K:          s.cfg.TopK,
-	}, []parallel.Span{{Lo: 0, Hi: s.k1.Len()}})
+	}, shardSpans(s.k1.Len(), 1))
 	if err != nil {
 		return nil, err
 	}

@@ -15,25 +15,30 @@ import (
 	"minoaner/internal/parallel"
 )
 
-// buildBatchGraph rebuilds the monolithic disjunctive blocking graph over a
-// substrate — the frozen batch rows QueryEntity must reproduce entity for
-// entity.
-func buildBatchGraph(t *testing.T, sub *Substrate) *graph.Graph {
+// buildBatchGraph rebuilds the batch disjunctive blocking graph over a
+// substrate as one shard, with the E1-side γ rows of the full span — the
+// frozen batch rows QueryEntity must reproduce entity for entity.
+func buildBatchGraph(t *testing.T, sub *Substrate) (*graph.Graph, [][]graph.Edge) {
 	t.Helper()
+	ctx := context.Background()
 	eng := parallel.New(sub.cfg.Workers)
-	g, _, err := graph.BuildTimedCtx(context.Background(), eng, graph.Input{
+	all := parallel.Span{Lo: 0, Hi: sub.k1.Len()}
+	g, scope, _, err := graph.Build(ctx, eng, graph.Input{
 		K1: sub.k1, K2: sub.k2,
-		NameBlocks:  sub.nameBlocks,
-		TokenBlocks: sub.TokenBlocks(),
-		TokenIndex:  sub.tokenIx,
-		Top1:        sub.top1,
-		Top2:        sub.top2,
-		K:           sub.cfg.TopK,
-	})
+		NameBlocks: sub.nameBlocks,
+		TokenIndex: sub.tokenIx,
+		Top1:       sub.top1,
+		Top2:       sub.top2,
+		K:          sub.cfg.TopK,
+	}, []parallel.Span{all})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	gamma1, err := scope.BuildSpan(ctx, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, gamma1
 }
 
 // expectedQueryMatches assembles, from the BATCH graph rows of entity e, the
@@ -41,8 +46,8 @@ func buildBatchGraph(t *testing.T, sub *Substrate) *graph.Graph {
 // order, then the fused rank-aggregation order, with the batch per-entity
 // rule claims (R1 membership, R2's top-β-weight ≥ 1 predicate, R3's top
 // aggregate pick) and R4's reciprocity bit.
-func expectedQueryMatches(sub *Substrate, g *graph.Graph, e kb.EntityID, mc matching.Config) []QueryMatch {
-	beta, gamma := g.Beta1[e], g.Gamma1[e]
+func expectedQueryMatches(sub *Substrate, g *graph.Graph, gamma1 [][]graph.Edge, e kb.EntityID, mc matching.Config) []QueryMatch {
+	beta, gamma := g.Beta1[e], gamma1[e]
 	var alpha []kb.EntityID
 	if mc.EnableR1 {
 		alpha = g.Alpha1[e]
@@ -144,7 +149,7 @@ func checkQueryEquivalence(t *testing.T, name string, k1, k2 *kb.KB, cfg Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := buildBatchGraph(t, sub)
+	g, gamma1 := buildBatchGraph(t, sub)
 	mc := *sub.cfg.Rules
 	mc.Theta = sub.cfg.Theta
 	for i := 0; i < k1.Len(); i++ {
@@ -153,7 +158,7 @@ func checkQueryEquivalence(t *testing.T, name string, k1, k2 *kb.KB, cfg Config)
 		if err != nil {
 			t.Fatalf("%s: QueryEntity(%d): %v", name, e, err)
 		}
-		want := expectedQueryMatches(sub, g, e, mc)
+		want := expectedQueryMatches(sub, g, gamma1, e, mc)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: entity %d: query/batch divergence\n got: %+v\nwant: %+v", name, e, got, want)
 		}
@@ -338,7 +343,7 @@ func TestQueryEntityNewEntity(t *testing.T) {
 func TestResolveWithMatchesResolve(t *testing.T) {
 	ctx := context.Background()
 	k1, k2 := skewedKBs(300)
-	ref, err := Resolve(k1, k2, Config{Workers: 4})
+	ref, err := ResolveContext(context.Background(), k1, k2, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,12 +384,12 @@ func TestResolveWithMatchesResolve(t *testing.T) {
 // OmitTokenBlocks must change nothing but Output.TokenBlocks.
 func TestOmitTokenBlocks(t *testing.T) {
 	k1, k2 := skewedKBs(300)
-	full, err := Resolve(k1, k2, Config{})
+	full, err := ResolveContext(context.Background(), k1, k2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 4} {
-		lean, err := ResolveSharded(context.Background(), k1, k2, Config{OmitTokenBlocks: true}, shards)
+		lean, err := ResolveContext(context.Background(), k1, k2, Config{OmitTokenBlocks: true, ShardCount: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,8 @@ import (
 
 // digest serializes everything the pipeline is contracted to reproduce —
 // matches with provenance, R4 removals, graph edge count, block statistics,
-// purge state and name attributes — and hashes it, so sharded and monolithic
-// runs can be compared as a single value.
+// purge state and name attributes — and hashes it, so runs under different
+// shard plans can be compared as a single value.
 func digest(t *testing.T, out *Output) [32]byte {
 	t.Helper()
 	h := sha256.New()
@@ -36,15 +36,21 @@ func digest(t *testing.T, out *Output) [32]byte {
 	return sum
 }
 
-func shardCounts() []int {
-	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
+// resolveShards runs ResolveContext with E1 split into p shards.
+func resolveShards(ctx context.Context, k1, k2 *kb.KB, cfg Config, p int) (*Output, error) {
+	cfg.ShardCount = p
+	return ResolveContext(ctx, k1, k2, cfg)
 }
 
-// ResolveSharded must be sha256-identical to Resolve on the skewed
-// determinism fixture for every shard count.
+func shardCounts() []int {
+	return []int{2, 7, runtime.GOMAXPROCS(0)}
+}
+
+// A sharded resolve must be sha256-identical to the single-shard one on the
+// skewed determinism fixture for every shard count.
 func TestResolveShardedIdenticalOnSkewedInput(t *testing.T) {
 	k1, k2 := skewedKBs(300)
-	ref, err := Resolve(k1, k2, Config{})
+	ref, err := ResolveContext(context.Background(), k1, k2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +59,12 @@ func TestResolveShardedIdenticalOnSkewedInput(t *testing.T) {
 	}
 	want := digest(t, ref)
 	for _, p := range shardCounts() {
-		got, err := ResolveSharded(context.Background(), k1, k2, Config{}, p)
+		got, err := resolveShards(context.Background(), k1, k2, Config{}, p)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
 		if digest(t, got) != want {
-			t.Fatalf("P=%d: sharded output differs from monolithic:\n--- monolithic\n%s--- sharded\n%s",
+			t.Fatalf("P=%d: sharded output differs from one shard:\n--- one shard\n%s--- sharded\n%s",
 				p, renderMatches(ref), renderMatches(got))
 		}
 	}
@@ -71,13 +77,13 @@ func TestResolveShardedIdenticalOnPresets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preset sweep is slow")
 	}
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
+	counts := []int{2, 7}
 	for _, profile := range datagen.Presets() {
 		d, err := datagen.Generate(datagen.Scale(profile, 0.1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Resolve(d.K1, d.K2, Config{})
+		ref, err := ResolveContext(context.Background(), d.K1, d.K2, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +92,7 @@ func TestResolveShardedIdenticalOnPresets(t *testing.T) {
 		}
 		want := digest(t, ref)
 		for _, p := range counts {
-			got, err := ResolveSharded(context.Background(), d.K1, d.K2, Config{}, p)
+			got, err := resolveShards(context.Background(), d.K1, d.K2, Config{}, p)
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", profile.Name, p, err)
 			}
@@ -99,7 +105,7 @@ func TestResolveShardedIdenticalOnPresets(t *testing.T) {
 
 // Sharding composes with the rule ablations: R4 relies on shard-local γ
 // evidence, R3-off still builds γ rows for R4, and the No-Neighbors ablation
-// still counts γ edges — each must match the monolithic run exactly.
+// still counts γ edges — each must match the single-shard run exactly.
 func TestResolveShardedRuleAblations(t *testing.T) {
 	k1, k2 := skewedKBs(120)
 	cases := map[string]matching.Config{
@@ -113,13 +119,13 @@ func TestResolveShardedRuleAblations(t *testing.T) {
 	for name, rules := range cases {
 		rules := rules
 		cfg := Config{Rules: &rules}
-		ref, err := Resolve(k1, k2, cfg)
+		ref, err := ResolveContext(context.Background(), k1, k2, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want := digest(t, ref)
 		for _, p := range []int{2, 5} {
-			got, err := ResolveSharded(context.Background(), k1, k2, cfg, p)
+			got, err := resolveShards(context.Background(), k1, k2, cfg, p)
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", name, p, err)
 			}
@@ -130,11 +136,11 @@ func TestResolveShardedRuleAblations(t *testing.T) {
 	}
 }
 
-// The ShardCount and MaxShardBytes knobs must route ResolveContext through
-// the sharded engine and still produce the monolithic output.
+// The ShardCount knob must route ResolveContext through the shard loop and
+// still produce the single-shard output.
 func TestResolveContextShardRouting(t *testing.T) {
 	k1, k2 := skewedKBs(150)
-	ref, err := Resolve(k1, k2, Config{})
+	ref, err := ResolveContext(context.Background(), k1, k2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,16 +151,7 @@ func TestResolveContextShardRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if digest(t, byCount) != want {
-		t.Error("ShardCount=3 output differs from monolithic")
-	}
-
-	// A tiny byte budget forces many shards.
-	byBytes, err := ResolveContext(context.Background(), k1, k2, Config{MaxShardBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest(t, byBytes) != want {
-		t.Error("MaxShardBytes routing output differs from monolithic")
+		t.Error("ShardCount=3 output differs from one shard")
 	}
 }
 
@@ -175,19 +172,8 @@ func TestEffectiveShards(t *testing.T) {
 	if got := base(Config{ShardCount: 50}).effectiveShards(10); got != 10 {
 		t.Errorf("shards clamp to |E1| = %d, want 10", got)
 	}
-	// K=15 → 264 bytes per row; 26400 bytes per shard → 100 rows per shard.
-	if got := base(Config{MaxShardBytes: 26400}).effectiveShards(1000); got != 10 {
-		t.Errorf("budget shards = %d, want 10", got)
-	}
-	// Explicit count wins over the budget.
-	if got := base(Config{ShardCount: 2, MaxShardBytes: 1}).effectiveShards(1000); got != 2 {
-		t.Errorf("explicit-over-budget shards = %d, want 2", got)
-	}
 	if _, err := (Config{ShardCount: -1}).normalize(); err == nil {
 		t.Error("negative ShardCount must be rejected")
-	}
-	if _, err := (Config{MaxShardBytes: -1}).normalize(); err == nil {
-		t.Error("negative MaxShardBytes must be rejected")
 	}
 }
 
@@ -217,7 +203,7 @@ func TestShardSpans(t *testing.T) {
 }
 
 func TestResolveShardedEmptyKBs(t *testing.T) {
-	out, err := ResolveSharded(context.Background(),
+	out, err := resolveShards(context.Background(),
 		kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), Config{}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -228,30 +214,29 @@ func TestResolveShardedEmptyKBs(t *testing.T) {
 }
 
 // A shard count far above |E1| degrades to one entity per shard and still
-// reproduces the monolithic output (Figure 1 fixture).
+// reproduces the single-shard output (Figure 1 fixture).
 func TestResolveShardedMoreShardsThanEntities(t *testing.T) {
 	w, d := testkb.Figure1()
-	ref, err := Resolve(w, d, Config{})
+	ref, err := ResolveContext(context.Background(), w, d, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ResolveSharded(context.Background(), w, d, Config{}, 1000)
+	got, err := resolveShards(context.Background(), w, d, Config{}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if digest(t, got) != digest(t, ref) {
-		t.Error("per-entity sharding differs from monolithic")
+		t.Error("per-entity sharding differs from one shard")
 	}
 }
 
-// An expired deadline must abort the sharded pipeline promptly, like the
-// monolithic one.
+// An expired deadline must abort a sharded resolve promptly.
 func TestResolveShardedContextCancelled(t *testing.T) {
 	k1, k2 := skewedKBs(200)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
 	start := time.Now()
-	_, err := ResolveSharded(ctx, k1, k2, Config{}, 4)
+	_, err := resolveShards(ctx, k1, k2, Config{}, 4)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("sharded past deadline = %v, want context.DeadlineExceeded", err)
 	}

@@ -102,9 +102,9 @@ type NameUsage struct {
 }
 
 // QueryState is the exported, flat form of the prewarmed per-entity query
-// state: the frozen disjunctive blocking graph (Gamma1 left empty — γ rows
-// are produced per query from the scope), the γ scope and the name-usage
-// index sorted by name.
+// state: the frozen disjunctive blocking graph (its E1-side γ rows are
+// produced per query from the scope), the γ scope and the name-usage index
+// sorted by name.
 type QueryState struct {
 	Graph *graph.Graph
 	Scope *graph.Gamma1Scope

@@ -79,9 +79,8 @@ func BuildSubstrate(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Substrate,
 }
 
 // buildSubstrate is the internal form over a normalized Config and resolved
-// shard count. With p > 1 the E1 top-neighbor rows are extracted one
-// contiguous shard at a time (bounded transient memory, exactly as the
-// sharded pipeline always did); the rows are byte-identical either way.
+// shard count p: the E1 top-neighbor rows are extracted one contiguous
+// shard at a time, byte-identical for every p.
 //
 // The build is a dependency DAG, not a sequence of barriers: token indexing
 // depends on nothing from statistics, so it overlaps all of stage 1; name
@@ -213,25 +212,20 @@ func (sub *Substrate) statsRelations(ctx context.Context, eng *parallel.Engine) 
 }
 
 // statsTopNeighbors extracts the per-entity top-neighbor rows of both KBs
-// concurrently; with p > 1 the E1 side goes shard by shard.
+// concurrently, the E1 side one shard at a time.
 func (sub *Substrate) statsTopNeighbors(ctx context.Context, eng *parallel.Engine, p int) error {
 	t0 := time.Now()
 	err := eng.ConcurrentCtx(ctx,
 		func(sc context.Context) error {
-			if p > 1 {
-				sub.top1 = make([][]kb.EntityID, sub.k1.Len())
-				for _, s := range shardSpans(sub.k1.Len(), p) {
-					rows, err := stats.TopNeighborsRanksSpanCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN, s)
-					if err != nil {
-						return err
-					}
-					copy(sub.top1[s.Lo:s.Hi], rows)
+			sub.top1 = make([][]kb.EntityID, sub.k1.Len())
+			for _, s := range shardSpans(sub.k1.Len(), p) {
+				rows, err := stats.TopNeighborsRanksSpanCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN, s)
+				if err != nil {
+					return err
 				}
-				return nil
+				copy(sub.top1[s.Lo:s.Hi], rows)
 			}
-			var err error
-			sub.top1, err = stats.TopNeighborsRanksCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN)
-			return err
+			return nil
 		},
 		func(sc context.Context) error {
 			var err error

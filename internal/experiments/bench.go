@@ -60,7 +60,7 @@ type BenchResult struct {
 	Matches int     `json:"matches"`
 	F1      float64 `json:"f1"`
 	// ShardRuns holds one entry per requested shard count: the same pipeline
-	// under core.ResolveSharded, timed and heap-sampled the same way.
+	// with Config.ShardCount set, timed and heap-sampled the same way.
 	ShardRuns []ShardRun `json:"shard_runs,omitempty"`
 	// WorkerRuns holds one entry per requested extra worker count — by
 	// default one data point at workers=GOMAXPROCS next to the 1-core
@@ -124,8 +124,8 @@ type QueryRun struct {
 	P99US       float64 `json:"p99_us"`
 }
 
-// ShardRun is one sharded-execution data point of a dataset: ResolveSharded
-// with Shards E1 shards must reproduce the monolithic matches exactly while
+// ShardRun is one sharded-execution data point of a dataset: a run with
+// Shards E1 shards must reproduce the primary run's matches exactly while
 // bounding peak memory, so the record carries both.
 type ShardRun struct {
 	Shards     int     `json:"shards"`
@@ -135,7 +135,7 @@ type ShardRun struct {
 }
 
 // WorkerRun is one parallel-scaling data point of a dataset: the same
-// monolithic pipeline at a different engine size. The gate compares the
+// pipeline at a different engine size. The gate compares the
 // TOTAL time against the baseline entry and requires Matches to equal the
 // primary run's (worker-count determinism); the per-stage times are
 // recorded for diagnosis only — on a busy CI box individual parallel
@@ -170,10 +170,10 @@ type BenchReport struct {
 // collects per-stage timings (fastest repetition per stage) plus F1 against
 // the generated ground truth, and a heap-peak sample from one extra untimed
 // repetition. For every entry of shardCounts it additionally benchmarks
-// core.ResolveSharded at that shard count (total wall clock, heap peak, and
-// the match count, which must equal the monolithic one), and for every
-// entry of workerCounts (0 = all cores) the monolithic pipeline at that
-// engine size — the parallel-scaling data points.
+// the pipeline at that shard count (total wall clock, heap peak, and the
+// match count, which must equal the primary run's), and for every entry of
+// workerCounts (0 = all cores) the pipeline at that engine size — the
+// parallel-scaling data points.
 func (s *Suite) Bench(reps int, shardCounts, workerCounts []int) (*BenchReport, error) {
 	if reps < 1 {
 		reps = 1
@@ -202,7 +202,7 @@ func (s *Suite) Bench(reps int, shardCounts, workerCounts []int) (*BenchReport, 
 			r.Workers = s.opts.Workers
 		}
 		best, first, err := resolveBest(reps, func() (*core.Output, error) {
-			return core.Resolve(d.K1, d.K2, cfg)
+			return core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 		})
 		if err != nil {
 			return nil, err
@@ -226,7 +226,7 @@ func (s *Suite) Bench(reps int, shardCounts, workerCounts []int) (*BenchReport, 
 		r.MatchingMS = ms(best.Matching)
 		r.TotalMS = ms(best.Total)
 		peak, err := sampleHeapPeak(func() error {
-			_, err := core.Resolve(d.K1, d.K2, cfg)
+			_, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 			return err
 		})
 		if err != nil {
@@ -453,7 +453,7 @@ func percentileUS(sorted []time.Duration, p float64) float64 {
 	return float64(sorted[idx].Nanoseconds()) / 1000
 }
 
-// benchWorkers times the monolithic pipeline at one worker count (0 = all
+// benchWorkers times the pipeline at one worker count (0 = all
 // cores), keeping the fastest of reps per stage. The requested count is the
 // record's identity; the resolved count is informational.
 func benchWorkers(d *datagen.Dataset, cfg core.Config, reps, workers int) (WorkerRun, error) {
@@ -463,7 +463,7 @@ func benchWorkers(d *datagen.Dataset, cfg core.Config, reps, workers int) (Worke
 		wr.ResolvedWorkers = runtime.GOMAXPROCS(0)
 	}
 	best, first, err := resolveBest(reps, func() (*core.Output, error) {
-		return core.Resolve(d.K1, d.K2, cfg)
+		return core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 	})
 	if err != nil {
 		return wr, err
@@ -477,12 +477,13 @@ func benchWorkers(d *datagen.Dataset, cfg core.Config, reps, workers int) (Worke
 	return wr, nil
 }
 
-// benchSharded times core.ResolveSharded at one shard count (best of reps)
-// and heap-samples one extra repetition.
+// benchSharded times the pipeline with Config.ShardCount = shards (best of
+// reps) and heap-samples one extra repetition.
 func (s *Suite) benchSharded(d *datagen.Dataset, cfg core.Config, reps, shards int) (ShardRun, error) {
 	sr := ShardRun{Shards: shards}
+	cfg.ShardCount = shards
 	best, first, err := resolveBest(reps, func() (*core.Output, error) {
-		return core.ResolveSharded(context.Background(), d.K1, d.K2, cfg, shards)
+		return core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 	})
 	if err != nil {
 		return sr, err
@@ -490,7 +491,7 @@ func (s *Suite) benchSharded(d *datagen.Dataset, cfg core.Config, reps, shards i
 	sr.Matches = len(first.Matches)
 	sr.TotalMS = ms(best.Total)
 	peak, err := sampleHeapPeak(func() error {
-		_, err := core.ResolveSharded(context.Background(), d.K1, d.K2, cfg, shards)
+		_, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 		return err
 	})
 	if err != nil {

@@ -138,7 +138,7 @@ func CheckBench(cur, base *BenchReport, maxRatio float64) error {
 			}
 			for _, cs := range c.ShardRuns {
 				if cs.Matches != c.Matches {
-					failf("%s: shards=%d produced %d matches, monolithic produced %d (determinism broken)",
+					failf("%s: shards=%d produced %d matches, the primary run produced %d (determinism broken)",
 						b.Dataset, cs.Shards, cs.Matches, c.Matches)
 				}
 			}

@@ -260,7 +260,7 @@ func TestBenchReportJSONRoundTrip(t *testing.T) {
 }
 
 // The smallest preset end to end: Bench with a shard sweep produces shard
-// runs whose match counts equal the monolithic run, and the report passes a
+// runs whose match counts equal the primary run, and the report passes a
 // self-check.
 func TestBenchWithShardSweep(t *testing.T) {
 	s, err := NewSuite(Options{ScaleFactor: 0.2, Datasets: []string{"Restaurant"}})
@@ -277,7 +277,7 @@ func TestBenchWithShardSweep(t *testing.T) {
 	}
 	for _, sr := range r.ShardRuns {
 		if sr.Matches != r.Matches {
-			t.Errorf("shards=%d matches %d != monolithic %d", sr.Shards, sr.Matches, r.Matches)
+			t.Errorf("shards=%d matches %d != primary run %d", sr.Shards, sr.Matches, r.Matches)
 		}
 	}
 	if len(r.WorkerRuns) != 1 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -29,6 +30,7 @@ type Figure2Point struct {
 // Figure2 computes the similarity distribution of the ground-truth matches
 // of every dataset.
 func (s *Suite) Figure2() ([]Figure2Point, error) {
+	ctx := context.Background()
 	eng := parallel.New(s.opts.Workers)
 	var points []Figure2Point
 	for _, name := range s.Names() {
@@ -36,8 +38,14 @@ func (s *Suite) Figure2() ([]Figure2Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		ef1 := stats.BuildEF(eng, d.K1)
-		ef2 := stats.BuildEF(eng, d.K2)
+		ef1, err := stats.BuildEFCtx(ctx, eng, d.K1)
+		if err != nil {
+			return nil, err
+		}
+		ef2, err := stats.BuildEFCtx(ctx, eng, d.K2)
+		if err != nil {
+			return nil, err
+		}
 		wj := func(a *kb.Description, b *kb.Description) float64 {
 			return weightedJaccard(a, b, ef1, ef2)
 		}
@@ -206,7 +214,7 @@ func (s *Suite) Figure5() ([]Figure5Point, error) {
 				case "theta":
 					cfg.Theta = v
 				}
-				out, err := core.Resolve(d.K1, d.K2, cfg)
+				out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -280,7 +288,7 @@ func (s *Suite) Figure6() ([]Figure6Point, error) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = w
 			start := time.Now()
-			out, err := core.Resolve(d.K1, d.K2, cfg)
+			out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -54,6 +55,7 @@ type Table2Row struct {
 // reports |B_N|, |B_T|, ‖B_N‖, ‖B_T‖, the Cartesian baseline and blocking
 // precision/recall/F1.
 func (s *Suite) Table2() ([]Table2Row, error) {
+	ctx := context.Background()
 	eng := parallel.New(s.opts.Workers)
 	var rows []Table2Row
 	for _, name := range s.Names() {
@@ -61,10 +63,22 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		n1 := stats.NameAttributes(eng, d.K1, 2)
-		n2 := stats.NameAttributes(eng, d.K2, 2)
-		nameBlocks := blocking.NameBlocks(eng, d.K1, d.K2, n1, n2)
-		tokenBlocks := blocking.TokenBlocks(eng, d.K1, d.K2)
+		n1, err := stats.NameAttributesCtx(ctx, eng, d.K1, 2)
+		if err != nil {
+			return nil, err
+		}
+		n2, err := stats.NameAttributesCtx(ctx, eng, d.K2, 2)
+		if err != nil {
+			return nil, err
+		}
+		nameBlocks, err := blocking.NameBlocksCtx(ctx, eng, d.K1, d.K2, n1, n2)
+		if err != nil {
+			return nil, err
+		}
+		tokenBlocks, err := blocking.TokenBlocksCtx(ctx, eng, d.K1, d.K2)
+		if err != nil {
+			return nil, err
+		}
 		cap := int64(float64(d.K1.Len()) * float64(d.K2.Len()) * core.DefaultConfig().MaxBlockFraction)
 		tokenBlocks, _ = blocking.PurgeAbove(tokenBlocks, cap)
 		nl1 := stats.NewNameLookup(d.K1, n1)
@@ -105,6 +119,7 @@ var Table3Systems = []string{"SiGMa", "LINDA-style", "RiMOM-IM-style", "PARIS", 
 // Table3 compares MinoanER against all reimplemented baselines on every
 // dataset.
 func (s *Suite) Table3() ([]Table3Row, error) {
+	ctx := context.Background()
 	eng := parallel.New(s.opts.Workers)
 	var rows []Table3Row
 	for _, name := range s.Names() {
@@ -112,29 +127,44 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		tokenBlocks := blocking.TokenBlocks(eng, d.K1, d.K2)
+		tokenBlocks, err := blocking.TokenBlocksCtx(ctx, eng, d.K1, d.K2)
+		if err != nil {
+			return nil, err
+		}
 		cap := int64(float64(d.K1.Len()) * float64(d.K2.Len()) * core.DefaultConfig().MaxBlockFraction)
 		tokenBlocks, _ = blocking.PurgeAbove(tokenBlocks, cap)
 
-		sig := baselines.SiGMa(eng, d.K1, d.K2, tokenBlocks, baselines.DefaultSiGMaConfig())
+		sig, err := baselines.SiGMa(ctx, eng, d.K1, d.K2, tokenBlocks, baselines.DefaultSiGMaConfig())
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table3Row{name, "SiGMa", eval.Evaluate(sig, d.GT), ""})
 
-		lin := baselines.SiGMa(eng, d.K1, d.K2, tokenBlocks, baselines.LINDAStyleConfig())
+		lin, err := baselines.SiGMa(ctx, eng, d.K1, d.K2, tokenBlocks, baselines.LINDAStyleConfig())
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table3Row{name, "LINDA-style", eval.Evaluate(lin, d.GT), ""})
 
-		rim := baselines.RiMOMIM(eng, d.K1, d.K2, baselines.DefaultRiMOMConfig())
+		rim, err := baselines.RiMOMIM(ctx, eng, d.K1, d.K2, baselines.DefaultRiMOMConfig())
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table3Row{name, "RiMOM-IM-style", eval.Evaluate(rim, d.GT), ""})
 
 		par := baselines.PARIS(d.K1, d.K2, baselines.DefaultPARISConfig())
 		rows = append(rows, Table3Row{name, "PARIS", eval.Evaluate(par, d.GT), ""})
 
 		cands := baselines.CandidatePairs(5_000_000, tokenBlocks)
-		bsl := baselines.BSL(eng, d.K1, d.K2, cands, d.GT)
+		bsl, err := baselines.BSL(ctx, eng, d.K1, d.K2, cands, d.GT)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table3Row{name, "BSL", bsl.Best.Metrics, bsl.Best.Config.String()})
 
 		cfg := core.DefaultConfig()
 		cfg.Workers = s.opts.Workers
-		out, err := core.Resolve(d.K1, d.K2, cfg)
+		out, err := core.ResolveContext(ctx, d.K1, d.K2, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +223,7 @@ func (s *Suite) Table4() ([]Table4Row, error) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = s.opts.Workers
 			cfg.Rules = &mc
-			out, err := core.Resolve(d.K1, d.K2, cfg)
+			out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -9,22 +9,14 @@ import (
 	"minoaner/internal/stats"
 )
 
-// InputFor assembles a complete Algorithm 1 input from two KBs by running
+// InputForCtx assembles a complete Algorithm 1 input from two KBs by running
 // the upstream statistics and blocking stages with the given parameters:
 // nameK name attributes per KB (paper parameter k), topK candidates per node
 // per weight (K), and relN top relations per entity (N). Token blocks are
-// not purged here; callers that need Block Purging apply it to both
-// Input.TokenBlocks (blocking.PurgeAbove) and Input.TokenIndex
-// (TokenIndex.PurgeAbove) before Build, as the core pipeline does. If only
-// the collection is purged, BuildCtx notices the mismatch and derives a
-// consistent index view from the collection.
-func InputFor(e *parallel.Engine, k1, k2 *kb.KB, nameK, topK, relN int) Input {
-	in, _ := InputForCtx(context.Background(), e, k1, k2, nameK, topK, relN)
-	return in
-}
-
-// InputForCtx is InputFor with cancellation and first-error propagation
-// through every upstream stage.
+// not purged here; callers that need Block Purging apply
+// TokenIndex.PurgeAbove to Input.TokenIndex before Build, as the core
+// pipeline does. The first error — in practice only ctx cancellation —
+// aborts every upstream stage.
 func InputForCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, nameK, topK, relN int) (Input, error) {
 	var (
 		n1, n2         []string
@@ -77,11 +69,10 @@ func InputForCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, nameK, 
 	}
 	return Input{
 		K1: k1, K2: k2,
-		NameBlocks:  nameBlocks,
-		TokenBlocks: tokenIx.Collection(),
-		TokenIndex:  tokenIx,
-		Top1:        top1,
-		Top2:        top2,
-		K:           topK,
+		NameBlocks: nameBlocks,
+		TokenIndex: tokenIx,
+		Top1:       top1,
+		Top2:       top2,
+		K:          topK,
 	}, nil
 }

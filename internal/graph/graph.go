@@ -35,32 +35,30 @@ type Edge struct {
 
 // Graph is the pruned, directed disjunctive blocking graph. Slices are
 // indexed by EntityID; *1 fields describe edges out of E1 nodes (pointing to
-// E2 entities) and *2 fields the reverse direction.
+// E2 entities) and *2 fields the reverse direction. The E1-side γ lists are
+// never materialized: Build returns a Gamma1Scope that produces them one
+// contiguous shard at a time.
 type Graph struct {
 	// Alpha1[i] lists the E2 entities sharing a globally unique name with
 	// E1 entity i (α = 1 edges). Alpha2 is the reverse direction.
 	Alpha1, Alpha2 [][]kb.EntityID
 	// Beta1[i] holds up to K candidates sorted by decreasing valueSim.
 	Beta1, Beta2 [][]Edge
-	// Gamma1[i] holds up to K candidates sorted by decreasing neighborNSim.
-	Gamma1, Gamma2 [][]Edge
+	// Gamma2[j] holds up to K candidates of E2 node j sorted by decreasing
+	// neighborNSim.
+	Gamma2 [][]Edge
 }
 
 // Input bundles everything Algorithm 1 needs.
 type Input struct {
 	K1, K2 *kb.KB
-	// NameBlocks and TokenBlocks are the (purged) block collections of §3.1.
-	NameBlocks, TokenBlocks *blocking.Collection
-	// TokenIndex is the columnar token index the β stage walks. Optional: it
-	// should describe the same purged block set as TokenBlocks (the pipeline
-	// and InputForCtx thread it through). When absent, BuildCtx derives an
-	// index view from TokenBlocks; when the two disagree, the more-purged
-	// side wins (see BuildCtx), so purging either view alone still takes
-	// effect.
+	// NameBlocks is the name block collection of §3.1.
+	NameBlocks *blocking.Collection
+	// TokenIndex is the (purged) columnar token index the β stage walks.
 	TokenIndex *blocking.TokenIndex
 	// Top1/Top2 are the per-entity top-neighbor lists of each KB
-	// (stats.TopNeighbors); Algorithm 1 derives the in-neighbor index from
-	// them internally (procedure getTopInNeighbors).
+	// (stats.TopNeighborsRanksCtx); Algorithm 1 derives the in-neighbor index
+	// from them internally (procedure getTopInNeighbors).
 	Top1, Top2 [][]kb.EntityID
 	// K is the number of candidates kept per node per weight (paper default 15).
 	K int
@@ -70,96 +68,105 @@ type Input struct {
 // — the sub-stage split the benchmark-regression gate pins (graph_beta_ms /
 // graph_gamma_ms, mirroring the statistics sub-stages).
 type Timings struct {
-	// Beta covers name evidence and both β directions: they run concurrently
-	// (Figure 4), so they are timed as one barrier. Gamma covers the
-	// adjacency merges, the in-neighbor reversals and both γ directions; in
-	// the sharded pipeline the deferred E1 γ rows are added by the caller as
-	// they are produced.
+	// Beta covers name evidence and both β directions. Gamma covers the
+	// adjacency merges, the in-neighbor reversals and the E2-side γ rows;
+	// the deferred E1 γ rows are added by the caller as Gamma1Scope.BuildSpan
+	// produces them.
 	Beta, Gamma time.Duration
 }
 
-// BuildCtx runs Algorithm 1: name evidence, value evidence, neighbor
-// evidence, with top-K pruning per node. All three stages are data-parallel
-// over entities; stage boundaries are synchronization barriers exactly as in
-// the Spark architecture of Figure 4. Per-entity candidate accumulation is
-// heavily skewed (entities in large token blocks touch far more candidates),
-// so the β and γ passes run under the dynamic chunked scheduler. The first
-// error — in practice only ctx cancellation — aborts all stages.
-func BuildCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, error) {
-	g, _, err := BuildTimedCtx(ctx, e, in)
-	return g, err
-}
-
-// BuildTimedCtx is BuildCtx with the per-phase wall clock reported back.
-func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, Timings, error) {
+// Build runs Algorithm 1: name evidence, value evidence and neighbor
+// evidence, with top-K pruning per node. It materializes α, both β
+// directions and the E2-side γ lists, computing the E1 β rows one
+// contiguous shard at a time so the transient accumulation state of one
+// shard is released before the next begins. The E1-side γ lists — the
+// largest per-node structure — are left to the returned Gamma1Scope, from
+// which callers pull γ rows shard by shard (BuildSpan) and drop them when
+// the shard is matched.
+//
+// shards must partition [0, K1.Len()) into contiguous ascending spans. Rows
+// are per-entity independent, so the α/β/γ values observed by the matcher
+// are byte-identical for every shard plan; only their lifetime differs.
+// Per-entity candidate accumulation is heavily skewed (entities in large
+// token blocks touch far more candidates), so the β and γ passes run under
+// the dynamic chunked scheduler. The first error — in practice only ctx
+// cancellation — aborts construction.
+func Build(ctx context.Context, e *parallel.Engine, in Input, shards []parallel.Span) (*Graph, *Gamma1Scope, Timings, error) {
 	g := &Graph{
 		Alpha1: make([][]kb.EntityID, in.K1.Len()),
 		Alpha2: make([][]kb.EntityID, in.K2.Len()),
 	}
 	var tm Timings
 	ce := e.Chunked()
-	ix := resolveIndex(in)
-	var beta1, beta2 [][]Edge
+	if err := ctx.Err(); err != nil {
+		return nil, nil, tm, err
+	}
 	t0 := time.Now()
-	// Name evidence and the two directions of value evidence are mutually
-	// independent (Figure 4 runs them concurrently).
-	err := e.ConcurrentCtx(ctx,
-		func(context.Context) error { g.buildAlpha(in); return nil },
-		func(sc context.Context) error {
-			var err error
-			beta1, err = buildBeta(sc, ce, ix, in.K1, in.K2.Len(), true, in.K)
-			return err
-		},
-		func(sc context.Context) error {
-			var err error
-			beta2, err = buildBeta(sc, ce, ix, in.K2, in.K1.Len(), false, in.K)
-			return err
-		},
-	)
+	g.buildAlpha(in)
+
+	// β: the E2 direction in one pass (it is needed in full by both γ
+	// directions and by R2/R4), the E1 direction shard by shard. Rows land
+	// in the same positions a full-range pass would fill.
+	beta2, err := buildBeta(ctx, ce, in.TokenIndex, in.K2, in.K1.Len(), false, in.K)
 	if err != nil {
-		return nil, tm, err
+		return nil, nil, tm, err
+	}
+	g.Beta2 = beta2
+	g.Beta1 = make([][]Edge, in.K1.Len())
+	for _, s := range shards {
+		rows, err := buildBetaSpan(ctx, ce, in.TokenIndex, in.K1, in.K2.Len(), true, in.K, s)
+		if err != nil {
+			return nil, nil, tm, err
+		}
+		copy(g.Beta1[s.Lo:s.Hi], rows)
 	}
 	tm.Beta = time.Since(t0)
-	g.Beta1, g.Beta2 = beta1, beta2
+
+	// γ, E2 side first: its merged adjacency and reverse top-neighbor index
+	// die before the E1-side ones are allocated. The two sides run in
+	// sequence, not concurrently, because overlapping them keeps both
+	// allocation streams live at once and raises the peak heap of a batch
+	// resolve; the row passes inside each side are parallel.
+	//
+	// Gather formulation of Algorithm 1, lines 20–27: γ(a, b) = Σ β(na, y)
+	// over a's top neighbors na and their retained β-edges (na, y) with y a
+	// top neighbor of b, i.e. b ∈ in2[y] (getTopInNeighbors, lines 44–47).
 	t0 = time.Now()
-	if err := g.buildGamma(ctx, ce, in); err != nil {
-		return nil, tm, err
+	adj2 := MergeAdjacency(g.Beta2, g.Beta1, in.K2.Len())
+	in1 := stats.TopInNeighbors(in.Top1)
+	g.Gamma2, err = gammaRows(ctx, ce, parallel.Span{Lo: 0, Hi: in.K2.Len()}, in.Top2, adj2, in1, in.K)
+	if err != nil {
+		return nil, nil, tm, err
+	}
+	scope := &Gamma1Scope{
+		eng:  ce,
+		top1: in.Top1,
+		adj1: MergeAdjacency(g.Beta1, g.Beta2, in.K1.Len()),
+		in2:  stats.TopInNeighbors(in.Top2),
+		k:    in.K,
 	}
 	tm.Gamma = time.Since(t0)
-	return g, tm, nil
+	return g, scope, tm, nil
 }
 
-// Build is BuildCtx without cancellation.
-func Build(e *parallel.Engine, in Input) *Graph {
-	g, _ := BuildCtx(context.Background(), e, in)
-	return g
+// Gamma1Scope holds the shared inputs of E1-side γ construction — the merged
+// undirected β adjacency and the reverse top-neighbor index of E2 — so γ
+// rows can be produced shard at a time long after Build returned (the
+// matcher interleaves them with rule R3). The scope is read-only after
+// construction and safe for sequential reuse across shards.
+type Gamma1Scope struct {
+	eng  *parallel.Engine
+	top1 [][]kb.EntityID
+	adj1 [][]Edge
+	in2  [][]kb.EntityID
+	k    int
 }
 
-// resolveIndex picks the token index the β stage walks. Both β directions
-// use one shared index with per-token weights precomputed once. When the
-// caller-supplied index and TokenBlocks disagree (a caller purged only one
-// of the two views), the more-purged side wins so Block Purging is never
-// silently discarded: an index with MORE live blocks than the collection
-// means only the collection was purged (the pre-index idiom) and a
-// consistent index is derived from it; an index with FEWER live blocks means
-// only the index was purged and it is honored as-is. Ties with diverging
-// aggregate comparisons fall back to the collection, the documented source
-// of truth.
-func resolveIndex(in Input) *blocking.TokenIndex {
-	ix := in.TokenIndex
-	if ix != nil && in.TokenBlocks == nil {
-		// Collection-free construction (substrate callers that opted out of
-		// materializing the historical block output): the index is the only
-		// view and is honored as-is.
-		return ix
-	}
-	switch {
-	case ix == nil,
-		ix.Live() > in.TokenBlocks.Len(),
-		ix.Live() == in.TokenBlocks.Len() && ix.TotalComparisons() != in.TokenBlocks.TotalComparisons():
-		return blocking.IndexFromCollection(in.TokenBlocks, in.K1, in.K2)
-	}
-	return ix
+// BuildSpan computes the γ rows of one contiguous E1 shard: s.Len() rows,
+// row i holding the pruned neighborNSim candidates of entity s.Lo+i sorted
+// by decreasing weight.
+func (sc *Gamma1Scope) BuildSpan(ctx context.Context, s parallel.Span) ([][]Edge, error) {
+	return gammaRows(ctx, sc.eng, s, sc.top1, sc.adj1, sc.in2, sc.k)
 }
 
 // buildAlpha scans the name blocks for 1×1 blocks: a name used by exactly
@@ -201,7 +208,7 @@ func buildBeta(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex,
 // BetaRowsCtx computes one side's full β candidate rows — the value-evidence
 // phase in isolation, exported for the stage benchmarks that guard it.
 // otherLen is the entity count of the OTHER KB (the candidate ID space);
-// BuildCtx composes this with the α and γ phases.
+// Build composes this with the α and γ phases.
 func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) ([][]Edge, error) {
 	return buildBeta(ctx, e, ix, from, otherLen, fromIsE1, k)
 }
@@ -268,35 +275,6 @@ func topK(acc map[kb.EntityID]float64, k int) []Edge {
 		edges = edges[:k]
 	}
 	return edges
-}
-
-// buildGamma propagates β weights to in-neighbor pairs (Algorithm 1, lines
-// 20–33): if valueSim(x, y) = β and x is a top neighbor of a while y is a
-// top neighbor of b, then β contributes to neighborNSim(a, b). The retained
-// (pruned) β-edges of both directions feed the propagation, merged into one
-// undirected adjacency so no contribution is double counted.
-func (g *Graph) buildGamma(ctx context.Context, e *parallel.Engine, in Input) error {
-	adj1 := MergeAdjacency(g.Beta1, g.Beta2, in.K1.Len())
-	adj2 := MergeAdjacency(g.Beta2, g.Beta1, in.K2.Len())
-
-	// getTopInNeighbors (Algorithm 1, lines 44–47): in1[x] lists the E1
-	// entities that have x among their top neighbors.
-	in1 := stats.TopInNeighbors(in.Top1)
-	in2 := stats.TopInNeighbors(in.Top2)
-
-	// Gather formulation of lines 20–27: γ(a, b) = Σ β(na, y) over a's top
-	// neighbors na and their retained β-edges (na, y) with y a top neighbor
-	// of b, i.e. b ∈ in2[y].
-	gamma1, err := gammaRows(ctx, e, parallel.Span{Lo: 0, Hi: in.K1.Len()}, in.Top1, adj1, in2, in.K)
-	if err != nil {
-		return err
-	}
-	gamma2, err := gammaRows(ctx, e, parallel.Span{Lo: 0, Hi: in.K2.Len()}, in.Top2, adj2, in1, in.K)
-	if err != nil {
-		return err
-	}
-	g.Gamma1, g.Gamma2 = gamma1, gamma2
-	return nil
 }
 
 // gammaRows computes the γ candidate rows of one side for a contiguous node
@@ -407,27 +385,16 @@ func (g *Graph) BetaWeight(e1, e2 kb.EntityID) float64 {
 
 // HasDirectedEdge1 reports whether the directed edge from E1 node e1 to E2
 // node e2 survived pruning under any evidence (α, β or γ) — the G.E
-// membership test of the reciprocity rule R4.
-func (g *Graph) HasDirectedEdge1(e1, e2 kb.EntityID) bool {
-	return containsID(g.Alpha1[e1], e2) || containsEdge(g.Beta1[e1], e2) || containsEdge(g.Gamma1[e1], e2)
+// membership test of the reciprocity rule R4. The E1-side γ lists live
+// outside the Graph, so the caller passes e1's γ row (Gamma1Scope.BuildSpan).
+func (g *Graph) HasDirectedEdge1(e1, e2 kb.EntityID, gamma1 []Edge) bool {
+	return containsID(g.Alpha1[e1], e2) || containsEdge(g.Beta1[e1], e2) || containsEdge(gamma1, e2)
 }
 
-// HasDirectedEdge2 is HasDirectedEdge1 for the E2 → E1 direction.
+// HasDirectedEdge2 is HasDirectedEdge1 for the E2 → E1 direction, whose γ
+// lists the Graph holds.
 func (g *Graph) HasDirectedEdge2(e2, e1 kb.EntityID) bool {
 	return containsID(g.Alpha2[e2], e1) || containsEdge(g.Beta2[e2], e1) || containsEdge(g.Gamma2[e2], e1)
-}
-
-// HasDirectedEdge1NoGamma is HasDirectedEdge1 restricted to α/β evidence.
-// The sharded matcher uses it together with EdgeListContains over the
-// shard-local γ rows, which are never retained in the Graph.
-func (g *Graph) HasDirectedEdge1NoGamma(e1, e2 kb.EntityID) bool {
-	return containsID(g.Alpha1[e1], e2) || containsEdge(g.Beta1[e1], e2)
-}
-
-// EdgeListContains reports whether an edge list holds an edge to the given
-// node — the G.E membership test over an externally held candidate row.
-func EdgeListContains(es []Edge, to kb.EntityID) bool {
-	return containsEdge(es, to)
 }
 
 func containsID(xs []kb.EntityID, x kb.EntityID) bool {
@@ -448,8 +415,9 @@ func containsEdge(es []Edge, to kb.EntityID) bool {
 	return false
 }
 
-// Edges returns the total number of directed edges retained in the graph,
-// used by complexity assertions (|E| ≤ 2·(2K+names)·(|E1|+|E2|)).
+// Edges returns the number of directed edges the graph holds: α, β and the
+// E2-side γ lists. The E1-side γ rows live in the Gamma1Scope, so callers
+// that want the full |E| add their lengths as they produce them.
 func (g *Graph) Edges() int {
 	total := 0
 	for _, xs := range g.Alpha1 {
@@ -462,9 +430,6 @@ func (g *Graph) Edges() int {
 		total += len(es)
 	}
 	for _, es := range g.Beta2 {
-		total += len(es)
-	}
-	for _, es := range g.Gamma1 {
 		total += len(es)
 	}
 	for _, es := range g.Gamma2 {

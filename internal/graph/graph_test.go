@@ -17,17 +17,64 @@ import (
 
 var seq = parallel.Sequential()
 
+// inputFor runs InputForCtx under a background context, failing the test on
+// an error.
+func inputFor(t testing.TB, e *parallel.Engine, k1, k2 *kb.KB, nameK, topK, relN int) Input {
+	t.Helper()
+	in, err := InputForCtx(context.Background(), e, k1, k2, nameK, topK, relN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// build runs Build over one shard spanning E1 and returns the graph together
+// with the E1-side γ rows the scope produces for that span.
+func build(t testing.TB, e *parallel.Engine, in Input) (*Graph, [][]Edge) {
+	t.Helper()
+	return buildShards(t, e, in, parallel.New(1).Partitions(in.K1.Len()))
+}
+
+// buildShards is build over an explicit shard plan; the γ rows of the shards
+// are concatenated in span order.
+func buildShards(t testing.TB, e *parallel.Engine, in Input, shards []parallel.Span) (*Graph, [][]Edge) {
+	t.Helper()
+	ctx := context.Background()
+	g, scope, _, err := Build(ctx, e, in, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma1 := make([][]Edge, 0, in.K1.Len())
+	for _, s := range shards {
+		rows, err := scope.BuildSpan(ctx, s)
+		if err != nil {
+			t.Fatalf("span %v: %v", s, err)
+		}
+		gamma1 = append(gamma1, rows...)
+	}
+	return g, gamma1
+}
+
+// allEdges counts the directed edges of a graph plus its E1-side γ rows.
+func allEdges(g *Graph, gamma1 [][]Edge) int {
+	n := g.Edges()
+	for _, es := range gamma1 {
+		n += len(es)
+	}
+	return n
+}
+
 // buildFigure1Graph assembles the full Algorithm 1 input for the paper's
-// Figure 1 fixture with parameters (k=2 names, K, N=2).
-func buildFigure1Graph(t *testing.T, e *parallel.Engine, k int) (*kb.KB, *kb.KB, *Graph) {
+// Figure 1 fixture with parameters (k=2 names, K, N=2) and builds it.
+func buildFigure1Graph(t *testing.T, e *parallel.Engine, k int) (*kb.KB, *kb.KB, *Graph, [][]Edge) {
 	t.Helper()
 	w, d := testkb.Figure1()
-	in := InputFor(e, w, d, 2, k, 2)
-	return w, d, Build(e, in)
+	g, gamma1 := build(t, e, inputFor(t, e, w, d, 2, k, 2))
+	return w, d, g, gamma1
 }
 
 func TestAlphaEdgesFromUniqueNames(t *testing.T) {
-	w, d, g := buildFigure1Graph(t, seq, 5)
+	w, d, g, _ := buildFigure1Graph(t, seq, 5)
 	chef1 := w.Lookup("w:JohnLakeA")
 	chef2 := d.Lookup("d:JonnyLake")
 	// Example 3.4: the chefs share the unique name "J. Lake" → α = 1.
@@ -42,8 +89,15 @@ func TestAlphaEdgesFromUniqueNames(t *testing.T) {
 func TestBetaMatchesDirectValueSim(t *testing.T) {
 	// With K large enough that nothing is pruned, the retained β weight of
 	// every pair must equal the reference Def. 2.1 computation.
-	w, d, g := buildFigure1Graph(t, seq, 100)
-	ef1, ef2 := stats.BuildEF(seq, w), stats.BuildEF(seq, d)
+	w, d, g, _ := buildFigure1Graph(t, seq, 100)
+	ef1, err := stats.BuildEFCtx(context.Background(), seq, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ef2, err := stats.BuildEFCtx(context.Background(), seq, d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < w.Len(); i++ {
 		for j := 0; j < d.Len(); j++ {
 			want := stats.ValueSim(w.Entity(kb.EntityID(i)), d.Entity(kb.EntityID(j)), ef1, ef2)
@@ -56,7 +110,7 @@ func TestBetaMatchesDirectValueSim(t *testing.T) {
 }
 
 func TestBetaSortedAndBounded(t *testing.T) {
-	_, _, g := buildFigure1Graph(t, seq, 2)
+	_, _, g, _ := buildFigure1Graph(t, seq, 2)
 	for i, es := range g.Beta1 {
 		if len(es) > 2 {
 			t.Fatalf("Beta1[%d] has %d edges, K=2", i, len(es))
@@ -75,24 +129,24 @@ func TestBetaSortedAndBounded(t *testing.T) {
 }
 
 func TestGammaPropagation(t *testing.T) {
-	w, d, g := buildFigure1Graph(t, seq, 5)
+	w, d, g, gamma1 := buildFigure1Graph(t, seq, 5)
 	r1 := w.Lookup("w:Restaurant1")
 	r2 := d.Lookup("d:Restaurant2")
 	// Example 3.4: Restaurant1–Restaurant2 get a non-zero γ because their
 	// top neighbors (chefs; Bray/Berkshire) have non-zero β edges.
 	var gammaR1R2 float64
-	for _, edge := range g.Gamma1[r1] {
+	for _, edge := range gamma1[r1] {
 		if edge.To == r2 {
 			gammaR1R2 = edge.Weight
 		}
 	}
 	if gammaR1R2 <= 0 {
-		t.Fatalf("γ(Restaurant1, Restaurant2) = %v, want > 0 (Gamma1: %v)", gammaR1R2, g.Gamma1[r1])
+		t.Fatalf("γ(Restaurant1, Restaurant2) = %v, want > 0 (γ row: %v)", gammaR1R2, gamma1[r1])
 	}
 	// γ must equal the sum of β over top-neighbor pairs (Def. 2.5 via
 	// retained edges).
 	var want float64
-	in := InputFor(seq, w, d, 2, 5, 2)
+	in := inputFor(t, seq, w, d, 2, 5, 2)
 	adj := map[[2]kb.EntityID]float64{}
 	for x, es := range g.Beta1 {
 		for _, e := range es {
@@ -117,10 +171,8 @@ func TestGammaPropagation(t *testing.T) {
 func TestGammaSymmetryOfPairWeight(t *testing.T) {
 	// γ is a pair weight: if (a→b) and (b→a) both survive pruning, their
 	// weights must be equal.
-	w, d, g := buildFigure1Graph(t, seq, 100)
-	_ = w
-	_ = d
-	for a, es := range g.Gamma1 {
+	_, _, g, gamma1 := buildFigure1Graph(t, seq, 100)
+	for a, es := range gamma1 {
 		for _, e := range es {
 			for _, back := range g.Gamma2[e.To] {
 				if int(back.To) == a && math.Abs(back.Weight-e.Weight) > 1e-9 {
@@ -132,37 +184,37 @@ func TestGammaSymmetryOfPairWeight(t *testing.T) {
 }
 
 func TestHasDirectedEdge(t *testing.T) {
-	w, d, g := buildFigure1Graph(t, seq, 5)
+	w, d, g, gamma1 := buildFigure1Graph(t, seq, 5)
 	chef1 := w.Lookup("w:JohnLakeA")
 	chef2 := d.Lookup("d:JonnyLake")
-	if !g.HasDirectedEdge1(chef1, chef2) || !g.HasDirectedEdge2(chef2, chef1) {
+	if !g.HasDirectedEdge1(chef1, chef2, gamma1[chef1]) || !g.HasDirectedEdge2(chef2, chef1) {
 		t.Error("chef pair must be reciprocally connected")
 	}
 	uk := w.Lookup("w:UK")
 	// UK shares tokens with England ("england"? no: UK's tokens are
 	// "united kingdom"); it should have no edge to the chef.
-	if g.HasDirectedEdge1(uk, chef2) {
+	if g.HasDirectedEdge1(uk, chef2, gamma1[uk]) {
 		t.Error("UK → chef edge should not exist")
 	}
 }
 
 func TestGraphParallelDeterminism(t *testing.T) {
-	_, _, ref := buildFigure1Graph(t, seq, 3)
+	_, _, ref, refGamma1 := buildFigure1Graph(t, seq, 3)
 	for _, workers := range []int{2, 4, 8} {
-		_, _, got := buildFigure1Graph(t, parallel.New(workers), 3)
-		if !reflect.DeepEqual(got, ref) {
+		_, _, got, gamma1 := buildFigure1Graph(t, parallel.New(workers), 3)
+		if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gamma1, refGamma1) {
 			t.Fatalf("graph differs with %d workers", workers)
 		}
 	}
 }
 
 func TestEdgesBound(t *testing.T) {
-	w, d, g := buildFigure1Graph(t, seq, 3)
+	w, d, g, gamma1 := buildFigure1Graph(t, seq, 3)
 	// |E| ≤ 2·(2K + maxNames)·(|E1|+|E2|) — generous upper bound; the point
 	// is linear scaling in input size (§4 complexity claim).
 	bound := 2 * (2*3 + 2) * (w.Len() + d.Len())
-	if g.Edges() > bound {
-		t.Errorf("Edges = %d, exceeds linear bound %d", g.Edges(), bound)
+	if n := allEdges(g, gamma1); n > bound {
+		t.Errorf("|E| = %d, exceeds linear bound %d", n, bound)
 	}
 }
 
@@ -323,19 +375,15 @@ func BenchmarkBuildAlphaSkewedNames(b *testing.B) {
 	}
 }
 
-// BuildShardedCtx must reproduce BuildCtx exactly: α, β, γ2 in the returned
-// graph, and the scope's per-shard γ1 rows concatenated in span order must
-// equal the monolithic Gamma1 for every shard plan.
+// The shard plan is invisible in Build's output: α, β and γ2 in the
+// returned graph, and the scope's per-shard γ1 rows concatenated in span
+// order, must equal the single-shard build for every plan.
 func TestBuildShardedMatchesMonolithic(t *testing.T) {
 	w, d := testkb.Figure1()
-	in := InputFor(seq, w, d, 2, 5, 2)
-	want := Build(seq, in)
-	for _, p := range []int{1, 2, 3, 16} {
-		shards := parallel.New(p).Partitions(w.Len())
-		g, scope, _, err := BuildShardedCtx(context.Background(), seq, in, shards)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
+	in := inputFor(t, seq, w, d, 2, 5, 2)
+	want, wantGamma1 := build(t, seq, in)
+	for _, p := range []int{2, 3, 16} {
+		g, gamma1 := buildShards(t, seq, in, parallel.New(p).Partitions(w.Len()))
 		if !reflect.DeepEqual(g.Alpha1, want.Alpha1) || !reflect.DeepEqual(g.Alpha2, want.Alpha2) {
 			t.Errorf("p=%d: alpha differs", p)
 		}
@@ -345,18 +393,7 @@ func TestBuildShardedMatchesMonolithic(t *testing.T) {
 		if !reflect.DeepEqual(g.Gamma2, want.Gamma2) {
 			t.Errorf("p=%d: gamma2 differs", p)
 		}
-		if g.Gamma1 != nil {
-			t.Errorf("p=%d: sharded graph materialized Gamma1", p)
-		}
-		gamma1 := make([][]Edge, 0, w.Len())
-		for _, s := range shards {
-			rows, err := scope.BuildSpan(context.Background(), s)
-			if err != nil {
-				t.Fatalf("p=%d span %v: %v", p, s, err)
-			}
-			gamma1 = append(gamma1, rows...)
-		}
-		if !reflect.DeepEqual(gamma1, want.Gamma1) {
+		if !reflect.DeepEqual(gamma1, wantGamma1) {
 			t.Errorf("p=%d: concatenated gamma1 rows differ", p)
 		}
 	}
@@ -365,10 +402,9 @@ func TestBuildShardedMatchesMonolithic(t *testing.T) {
 func TestEmptyKBsGraph(t *testing.T) {
 	k1 := kb.NewBuilder("A").Build()
 	k2 := kb.NewBuilder("B").Build()
-	in := InputFor(seq, k1, k2, 2, 5, 2)
-	g := Build(seq, in)
-	if g.Edges() != 0 {
-		t.Errorf("empty KBs produced %d edges", g.Edges())
+	g, gamma1 := build(t, seq, inputFor(t, seq, k1, k2, 2, 5, 2))
+	if n := allEdges(g, gamma1); n != 0 {
+		t.Errorf("empty KBs produced %d edges", n)
 	}
 }
 
@@ -381,39 +417,8 @@ func TestNoSharedTokens(t *testing.T) {
 	y := b2.AddEntity("y")
 	b2.AddLiteral(y, "label", "gamma delta")
 	k2 := b2.Build()
-	g := Build(seq, InputFor(seq, k1, k2, 1, 5, 2))
-	if g.Edges() != 0 {
-		t.Errorf("disjoint KBs produced %d edges", g.Edges())
-	}
-}
-
-// Block Purging must take effect no matter which of the two token views a
-// caller purges: both one-sided purges must match the fully consistent
-// reference, per BuildCtx's "more-purged side wins" rule.
-func TestBuildHonorsOneSidedPurging(t *testing.T) {
-	w, d := testkb.Figure1()
-	const threshold = 1 // keep only 1×1 token blocks
-	ref := InputFor(seq, w, d, 2, 15, 2)
-	ref.TokenBlocks, _ = blocking.PurgeAbove(ref.TokenBlocks, threshold)
-	ref.TokenIndex, _ = ref.TokenIndex.PurgeAbove(threshold)
-	want := Build(seq, ref)
-
-	indexOnly := InputFor(seq, w, d, 2, 15, 2)
-	indexOnly.TokenIndex, _ = indexOnly.TokenIndex.PurgeAbove(threshold)
-	if g := Build(seq, indexOnly); !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
-		t.Error("index-only purge was not honored")
-	}
-
-	collectionOnly := InputFor(seq, w, d, 2, 15, 2)
-	collectionOnly.TokenBlocks, _ = blocking.PurgeAbove(collectionOnly.TokenBlocks, threshold)
-	if g := Build(seq, collectionOnly); !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
-		t.Error("collection-only purge was not honored")
-	}
-
-	// Sanity: purging at this threshold actually removed something, so the
-	// comparisons above are not vacuous.
-	unpurged := Build(seq, InputFor(seq, w, d, 2, 15, 2))
-	if reflect.DeepEqual(unpurged.Beta1, want.Beta1) {
-		t.Error("threshold removed nothing; test is vacuous")
+	g, gamma1 := build(t, seq, inputFor(t, seq, k1, k2, 1, 5, 2))
+	if n := allEdges(g, gamma1); n != 0 {
+		t.Errorf("disjoint KBs produced %d edges", n)
 	}
 }

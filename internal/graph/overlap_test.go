@@ -9,18 +9,18 @@ import (
 	"minoaner/internal/testkb"
 )
 
-// The concurrent γ builds of BuildShardedCtx (workers > 1) must reproduce
-// the sequential one-worker result exactly: same E2-side γ rows, same
-// deferred E1-side rows out of the scope. The CI race step runs this under
-// -race at workers=2, where the removed sequencing would hide races.
+// Build on a multi-worker engine, whose β and γ row passes run in parallel,
+// must reproduce the one-worker result exactly: same β rows, same E2-side γ
+// rows, same deferred E1-side rows out of the scope. The CI race step runs
+// this under -race at workers=2.
 func TestShardedGammaOverlapDeterminism(t *testing.T) {
 	w, d := testkb.Figure1()
-	in := InputFor(seq, w, d, 2, 5, 2)
+	in := inputFor(t, seq, w, d, 2, 5, 2)
 	mid := (w.Len() + 1) / 2
 	shards := []parallel.Span{{Lo: 0, Hi: mid}, {Lo: mid, Hi: w.Len()}}
 	ctx := context.Background()
 
-	gRef, scopeRef, _, err := BuildShardedCtx(ctx, seq, in, shards)
+	gRef, scopeRef, _, err := Build(ctx, seq, in, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestShardedGammaOverlapDeterminism(t *testing.T) {
 
 	for _, workers := range []int{2, 4} {
 		e := parallel.New(workers)
-		g, scope, _, err := BuildShardedCtx(ctx, e, in, shards)
+		g, scope, _, err := Build(ctx, e, in, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,7 +98,10 @@ func TestBetaRowsScoreboardMatchesMapReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 5; trial++ {
 		k1, k2 := randomTokenKBs(r, 40+r.Intn(40), 60+r.Intn(60), 30)
-		ix := blocking.NewTokenIndex(parallel.New(2), k1, k2)
+		ix, err := blocking.NewTokenIndexCtx(context.Background(), parallel.New(2), k1, k2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		full := parallel.Span{Lo: 0, Hi: k1.Len()}
 		want, err := buildBetaSpanMap(context.Background(), parallel.Sequential(), ix, k1, true, 5, full)
 		if err != nil {
@@ -143,7 +146,10 @@ func TestBetaRowsDirtyBoardWouldBeCaught(t *testing.T) {
 		b2.AddLiteral(u, "label", "alpha beta shared distinct"+fmt.Sprint(i%5))
 	}
 	k1, k2 := b1.Build(), b2.Build()
-	ix := blocking.NewTokenIndex(parallel.Sequential(), k1, k2)
+	ix, err := blocking.NewTokenIndexCtx(context.Background(), parallel.Sequential(), k1, k2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := parallel.Span{Lo: 0, Hi: k1.Len()}
 	want, err := buildBetaSpanMap(context.Background(), parallel.Sequential(), ix, k1, true, 10, full)
 	if err != nil {
@@ -229,7 +235,10 @@ func benchBetaInputs(b *testing.B) (*kb.KB, *kb.KB, *blocking.TokenIndex) {
 	b.Helper()
 	r := rand.New(rand.NewSource(42))
 	k1, k2 := randomTokenKBs(r, 800, 2400, 400)
-	ix := blocking.NewTokenIndex(parallel.New(0), k1, k2)
+	ix, err := blocking.NewTokenIndexCtx(context.Background(), parallel.New(0), k1, k2)
+	if err != nil {
+		b.Fatal(err)
+	}
 	return k1, k2, ix
 }
 

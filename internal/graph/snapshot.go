@@ -1,8 +1,7 @@
 // Snapshot-side accessors for the query-path graph state: the Gamma1Scope's
 // frozen inputs (merged β adjacency and E2 reverse top-neighbor index) can
 // be read out for serialization and reassembled on load, so a snapshot-
-// loaded substrate answers its first query without re-running
-// BuildShardedCtx.
+// loaded substrate answers its first query without re-running Build.
 package graph
 
 import (

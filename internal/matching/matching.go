@@ -16,6 +16,7 @@ package matching
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"minoaner/internal/eval"
@@ -95,26 +96,50 @@ func (r *Result) Pairs() []eval.Pair {
 	return out
 }
 
+// GammaFor supplies the E1-side γ candidate rows of one contiguous entity
+// shard on demand (graph.Gamma1Scope.BuildSpan behind a timing/accounting
+// wrapper in the core pipeline). The returned slice must hold s.Len() rows,
+// row i describing entity s.Lo+i. Run calls it exactly once per shard, in
+// shard order, and drops the rows before requesting the next shard — that
+// single-shard lifetime is what bounds the matcher's memory.
+type GammaFor func(ctx context.Context, s parallel.Span) ([][]graph.Edge, error)
+
 // matcher carries the mutable state of one Algorithm 2 run.
 type matcher struct {
-	g        *graph.Graph
-	k1, k2   *kb.KB
-	cfg      Config
-	eng      *parallel.Engine
-	matched1 []bool
+	g      *graph.Graph
+	k1, k2 *kb.KB
+	cfg    Config
+	eng    *parallel.Engine
+	// partner1[i] is the E2 entity E1 node i is matched to, kb.NoEntity
+	// while it is free: clean-clean commits give each E1 node at most one.
+	partner1 []kb.EntityID
 	matched2 []bool
 	matches  []Match
 }
 
-// RunCtx executes Algorithm 2 on the pruned disjunctive blocking graph.
-// Candidate evaluation in R2/R3 is skewed per entity, so those passes use
-// the dynamic chunked scheduler; cancellation is observed between rules and
-// between chunks within a rule.
-func RunCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config) (*Result, error) {
+// Run executes Algorithm 2 on the pruned disjunctive blocking graph built by
+// graph.Build, whose E1-side γ lists are not materialized: the γ rows of
+// each E1 shard are pulled from gammaFor when rule R3 reaches the shard and
+// released right after the shard's rank-aggregation picks and R4
+// reciprocity evidence have been extracted.
+//
+// shards must be the same partition of [0, k1.Len()) into contiguous
+// ascending spans that built the graph. The output is byte-identical for
+// every shard plan: R1 and R2 are global passes; R3 takes its E2-side pick
+// snapshot before any R3 commit and then processes E1 entities in ascending
+// order (shards are ascending, commits inside a shard are ascending); R4
+// evaluates the E1 → E2 edge of each matched E1 node while its shard's γ
+// rows are live. Candidate evaluation in R2/R3 is skewed per entity, so
+// those passes use the dynamic chunked scheduler; cancellation is observed
+// between rules and between chunks within a rule.
+func Run(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config, shards []parallel.Span, gammaFor GammaFor) (*Result, error) {
 	m := &matcher{
 		g: g, k1: k1, k2: k2, cfg: cfg, eng: e.Chunked(),
-		matched1: make([]bool, k1.Len()),
+		partner1: make([]kb.EntityID, k1.Len()),
 		matched2: make([]bool, k2.Len()),
+	}
+	for i := range m.partner1 {
+		m.partner1[i] = kb.NoEntity
 	}
 	if cfg.EnableR1 {
 		if err := ctx.Err(); err != nil {
@@ -127,16 +152,50 @@ func RunCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.
 			return nil, err
 		}
 	}
+	var pick2 []pick
 	if cfg.EnableR3 {
-		if err := m.runR3(ctx); err != nil {
+		var err error
+		if pick2, err = m.pick2All(ctx); err != nil {
 			return nil, err
+		}
+	}
+	// edge1[i] records whether the directed edge from matched E1 node i to
+	// partner1[i] survived pruning (α, β or γ).
+	var edge1 []bool
+	if cfg.EnableR4 {
+		edge1 = make([]bool, k1.Len())
+	}
+	for _, s := range shards {
+		rows, err := gammaFor(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		if len(rows) != s.Len() {
+			return nil, fmt.Errorf("matching: gammaFor returned %d rows for shard [%d,%d)", len(rows), s.Lo, s.Hi)
+		}
+		if cfg.EnableR3 {
+			if err := m.runR3(ctx, s, rows, pick2); err != nil {
+				return nil, err
+			}
+		}
+		if cfg.EnableR4 {
+			// Every matched E1 node of this shard — by R1/R2 before the
+			// shard loop or by R3 just above — gets its edge bit now.
+			for i := s.Lo; i < s.Hi; i++ {
+				if to := m.partner1[i]; to != kb.NoEntity {
+					edge1[i] = g.HasDirectedEdge1(kb.EntityID(i), to, rows[i-s.Lo])
+				}
+			}
 		}
 	}
 	res := &Result{}
 	if cfg.EnableR4 {
+		// R4 (lines 24–26): both directed edges must exist in the pruned
+		// graph.
 		kept := m.matches[:0]
 		for _, match := range m.matches {
-			if m.reciprocal(match.Pair) {
+			p := match.Pair
+			if edge1[p.E1] && g.HasDirectedEdge2(p.E2, p.E1) {
 				kept = append(kept, match)
 			} else {
 				res.RemovedByR4++
@@ -149,8 +208,7 @@ func RunCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.
 	return res, nil
 }
 
-// sortMatches orders matches by (E1, E2) — the canonical output order shared
-// by the monolithic and sharded runners.
+// sortMatches orders matches by (E1, E2) — the canonical output order.
 func sortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool {
 		a, b := ms[i].Pair, ms[j].Pair
@@ -161,19 +219,13 @@ func sortMatches(ms []Match) {
 	})
 }
 
-// Run is RunCtx without cancellation.
-func Run(e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config) *Result {
-	res, _ := RunCtx(context.Background(), e, g, k1, k2, cfg)
-	return res
-}
-
 // commit records a match if both endpoints are still free, preserving the
 // clean-clean one-to-one invariant.
 func (m *matcher) commit(p eval.Pair, rule Rule) bool {
-	if m.matched1[p.E1] || m.matched2[p.E2] {
+	if m.partner1[p.E1] != kb.NoEntity || m.matched2[p.E2] {
 		return false
 	}
-	m.matched1[p.E1] = true
+	m.partner1[p.E1] = p.E2
 	m.matched2[p.E2] = true
 	m.matches = append(m.matches, Match{Pair: p, Rule: rule})
 	return true
@@ -197,7 +249,7 @@ func (m *matcher) runR1() {
 func (m *matcher) runR2(ctx context.Context) error {
 	if m.k1.Len() <= m.k2.Len() {
 		tops, err := parallel.MapCtx(ctx, m.eng, m.k1.Len(), func(i int) (graph.Edge, error) {
-			if m.matched1[i] || len(m.g.Beta1[i]) == 0 {
+			if m.partner1[i] != kb.NoEntity || len(m.g.Beta1[i]) == 0 {
 				return graph.Edge{To: kb.NoEntity}, nil
 			}
 			return m.g.Beta1[i][0], nil
@@ -229,40 +281,37 @@ func (m *matcher) runR2(ctx context.Context) error {
 	return nil
 }
 
-// runR3 applies the Rank Aggregation Matching Rule (lines 10–23) to every
-// remaining unmatched node of both KBs: each candidate scores
-// θ·rank/|valCands| from the β list plus (1−θ)·rank/|ngbCands| from the γ
-// list. A pair is matched when each side is the other's top aggregate
-// candidate — the mutual-best reading of "there is no better candidate for
-// ei than ej" combined with the paper's clean-clean Unique Mapping
-// semantics. This interpretation is what reproduces the reported precision
-// (Tables 3–4: R3 alone reaches 81–99% precision even though most entities
-// of the larger KB have no true match; a single-sided top-candidate rule
-// would match every such entity to noise). It also explains why the paper
-// measures only marginal gains from R4: mutual agreement already implies
-// reciprocal edges in almost all cases.
+// runR3 applies the Rank Aggregation Matching Rule (lines 10–23) to the
+// unmatched E1 nodes of one shard, whose γ rows are given: each candidate
+// scores θ·rank/|valCands| from the β list plus (1−θ)·rank/|ngbCands| from
+// the γ list. A pair is matched when each side is the other's top aggregate
+// candidate (pick2 holds the E2-side picks) — the mutual-best reading of
+// "there is no better candidate for ei than ej" combined with the paper's
+// clean-clean Unique Mapping semantics. This interpretation is what
+// reproduces the reported precision (Tables 3–4: R3 alone reaches 81–99%
+// precision even though most entities of the larger KB have no true match;
+// a single-sided top-candidate rule would match every such entity to
+// noise). It also explains why the paper measures only marginal gains from
+// R4: mutual agreement already implies reciprocal edges in almost all
+// cases.
 //
 // Aggregation is parallel per node with one reusable bounded scoreboard per
 // worker (the worker-local-scratch discipline of the β/γ passes); commits
 // are sequential in entity order.
-func (m *matcher) runR3(ctx context.Context) error {
-	pick1, err := parallel.MapLocalCtx(ctx, m.eng, m.k1.Len(), newAggBoard,
+func (m *matcher) runR3(ctx context.Context, s parallel.Span, rows [][]graph.Edge, pick2 []pick) error {
+	picks, err := parallel.MapLocalCtx(ctx, m.eng, s.Len(), newAggBoard,
 		func(sb *aggBoard, i int) (pick, error) {
-			return m.pick1At(sb, i, m.g.Gamma1[i]), nil
+			return m.pick1At(sb, s.Lo+i, rows[i]), nil
 		})
 	if err != nil {
 		return err
 	}
-	pick2, err := m.pick2All(ctx)
-	if err != nil {
-		return err
-	}
-	for i, p := range pick1 {
+	for i, p := range picks {
 		if p.to == kb.NoEntity {
 			continue
 		}
-		if back := pick2[p.to]; back.to == kb.EntityID(i) {
-			m.commit(eval.Pair{E1: kb.EntityID(i), E2: p.to}, RuleRank)
+		if back := pick2[p.to]; back.to == kb.EntityID(s.Lo+i) {
+			m.commit(eval.Pair{E1: kb.EntityID(s.Lo + i), E2: p.to}, RuleRank)
 		}
 	}
 	return nil
@@ -318,11 +367,10 @@ func (b *aggBoard) best() (kb.EntityID, float64) {
 
 func (b *aggBoard) reset() { b.cands = b.cands[:0] }
 
-// pick1At computes the R3 pick of E1 node i with an explicitly supplied γ
-// candidate row — Gamma1[i] in the monolithic run, the shard-local row in
-// the sharded run — accumulating on the caller's board.
+// pick1At computes the R3 pick of E1 node i against its shard-local γ
+// candidate row, accumulating on the caller's board.
 func (m *matcher) pick1At(sb *aggBoard, i int, ngb []graph.Edge) pick {
-	if m.matched1[i] {
+	if m.partner1[i] != kb.NoEntity {
 		return pick{to: kb.NoEntity}
 	}
 	to, score := m.aggregate(sb, m.g.Beta1[i], ngb)
@@ -330,8 +378,7 @@ func (m *matcher) pick1At(sb *aggBoard, i int, ngb []graph.Edge) pick {
 }
 
 // pick2All computes the R3 picks of every E2 node against the post-R2
-// matched state. Both the monolithic and the sharded matcher take this exact
-// snapshot before any R3 commit.
+// matched state — the snapshot Run takes before any R3 commit.
 func (m *matcher) pick2All(ctx context.Context) ([]pick, error) {
 	return parallel.MapLocalCtx(ctx, m.eng, m.k2.Len(), newAggBoard,
 		func(sb *aggBoard, j int) (pick, error) {
@@ -399,10 +446,4 @@ func (m *matcher) aggregateMap(valCands, ngbCands []graph.Edge) (kb.EntityID, fl
 		}
 	}
 	return best, bestScore
-}
-
-// reciprocal implements R4 (lines 24–26): both directed edges must exist in
-// the pruned graph.
-func (m *matcher) reciprocal(p eval.Pair) bool {
-	return m.g.HasDirectedEdge1(p.E1, p.E2) && m.g.HasDirectedEdge2(p.E2, p.E1)
 }

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,9 +18,46 @@ var seq = parallel.Sequential()
 func figure1Run(t *testing.T, e *parallel.Engine, cfg Config) (*kb.KB, *kb.KB, *Result) {
 	t.Helper()
 	w, d := testkb.Figure1()
-	in := graph.InputFor(e, w, d, 2, 5, 2)
-	g := graph.Build(e, in)
-	return w, d, Run(e, g, w, d, cfg)
+	return w, d, buildAndRun(t, e, w, d, 2, cfg)
+}
+
+// buildAndRun assembles the Algorithm 1 input of a KB pair (nameK name
+// attributes, K=5, N=2), builds the graph over one shard spanning E1 and
+// matches it, pulling the shard's γ rows from the graph's scope.
+func buildAndRun(t *testing.T, e *parallel.Engine, k1, k2 *kb.KB, nameK int, cfg Config) *Result {
+	t.Helper()
+	ctx := context.Background()
+	in, err := graph.InputForCtx(ctx, e, k1, k2, nameK, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := parallel.New(1).Partitions(k1.Len())
+	g, scope, _, err := graph.Build(ctx, e, in, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(ctx, e, g, k1, k2, cfg, shards, scope.BuildSpan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runHandBuilt matches a hand-built graph as one shard, with the given E1
+// γ rows (nil: none).
+func runHandBuilt(t *testing.T, g *graph.Graph, gamma1 [][]graph.Edge, k1, k2 *kb.KB, cfg Config) *Result {
+	t.Helper()
+	gammaFor := func(_ context.Context, s parallel.Span) ([][]graph.Edge, error) {
+		if gamma1 == nil {
+			return make([][]graph.Edge, s.Len()), nil
+		}
+		return gamma1[s.Lo:s.Hi], nil
+	}
+	res, err := Run(context.Background(), seq, g, k1, k2, cfg, parallel.New(1).Partitions(k1.Len()), gammaFor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func pairURIs(w, d *kb.KB, res *Result) map[[2]string]Rule {
@@ -98,18 +136,43 @@ func TestR4FiltersNonReciprocal(t *testing.T) {
 		Alpha2: make([][]kb.EntityID, 2),
 		Beta1:  [][]graph.Edge{{{To: 0, Weight: 2.0}}, nil},
 		Beta2:  [][]graph.Edge{{{To: 1, Weight: 2.0}}, nil},
-		Gamma1: make([][]graph.Edge, 2),
 		Gamma2: make([][]graph.Edge, 2),
 	}
 	k1 := twoEntityKB("A")
 	k2 := twoEntityKB("B")
-	with := Run(seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, EnableR4: true, UseNeighbors: true})
+	with := runHandBuilt(t, g, nil, k1, k2, Config{Theta: 0.6, EnableR2: true, EnableR4: true, UseNeighbors: true})
 	if len(with.Matches) != 0 || with.RemovedByR4 != 1 {
 		t.Errorf("R4 should remove the non-reciprocal match: %+v", with)
 	}
-	without := Run(seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, UseNeighbors: true})
+	without := runHandBuilt(t, g, nil, k1, k2, Config{Theta: 0.6, EnableR2: true, UseNeighbors: true})
 	if len(without.Matches) != 1 {
 		t.Errorf("without R4 the match should survive: %+v", without)
+	}
+
+	// The E1 → E2 leg may also come from γ alone, whose rows live outside
+	// the graph: E2 node 0's top β edge (weight ≥ 1) makes R2 match it with
+	// E1 node 0 (E2 is the smaller side), and only E1 node 0's γ row points
+	// back.
+	k3 := kb.NewBuilder("C")
+	for _, u := range []string{"C0", "C1", "C2"} {
+		b := k3.AddEntity(u)
+		k3.AddLiteral(b, "label", u)
+	}
+	k1 = k3.Build()
+	g = &graph.Graph{
+		Alpha1: make([][]kb.EntityID, 3),
+		Alpha2: make([][]kb.EntityID, 2),
+		Beta1:  make([][]graph.Edge, 3),
+		Beta2:  [][]graph.Edge{{{To: 0, Weight: 2.0}}, nil},
+		Gamma2: make([][]graph.Edge, 2),
+	}
+	cfg := Config{Theta: 0.6, EnableR2: true, EnableR4: true, UseNeighbors: true}
+	gamma1 := [][]graph.Edge{{{To: 0, Weight: 0.5}}, nil, nil}
+	if res := runHandBuilt(t, g, gamma1, k1, k2, cfg); len(res.Matches) != 1 || res.RemovedByR4 != 0 {
+		t.Errorf("γ-only E1 → E2 edge must satisfy R4: %+v", res)
+	}
+	if res := runHandBuilt(t, g, nil, k1, k2, cfg); len(res.Matches) != 0 || res.RemovedByR4 != 1 {
+		t.Errorf("without the γ edge R4 must remove the match: %+v", res)
 	}
 }
 
@@ -167,8 +230,7 @@ func TestR2ScansSmallerKB(t *testing.T) {
 	x := b2.AddEntity("x")
 	b2.AddLiteral(x, "label", "token-a")
 	k2 := b2.Build()
-	g := graph.Build(seq, graph.InputFor(seq, k1, k2, 1, 5, 2))
-	res := Run(seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, UseNeighbors: true})
+	res := buildAndRun(t, seq, k1, k2, 1, Config{Theta: 0.6, EnableR2: true, UseNeighbors: true})
 	if len(res.Matches) != 1 {
 		t.Fatalf("matches = %v, want a–x", res.Matches)
 	}

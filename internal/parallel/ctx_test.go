@@ -42,10 +42,10 @@ func TestChunkedEngineViews(t *testing.T) {
 		t.Error("Chunked() of a chunked view must be itself")
 	}
 	// The base engine must stay on static partitioning.
-	if got := MapSpans(e, 100, func(s Span) int { return s.Lo }); len(got) != 4 {
+	if got, _ := MapSpansCtx(context.Background(), e, 100, func(s Span) (int, error) { return s.Lo, nil }); len(got) != 4 {
 		t.Errorf("base engine produced %d spans for n=100, want 4 static partitions", len(got))
 	}
-	if got := MapSpans(c, 100, func(s Span) int { return s.Lo }); len(got) != len(c.Chunks(100)) {
+	if got, _ := MapSpansCtx(context.Background(), c, 100, func(s Span) (int, error) { return s.Lo, nil }); len(got) != len(c.Chunks(100)) {
 		t.Error("chunked view did not use chunk partitioning")
 	}
 }
@@ -55,7 +55,12 @@ func TestChunkedForVisitsEachOnce(t *testing.T) {
 		e := New(w).Chunked()
 		n := 1000
 		var visits [1000]int32
-		e.For(n, func(i int) { atomic.AddInt32(&visits[i], 1) })
+		if err := e.ForCtx(context.Background(), n, func(i int) error {
+			atomic.AddInt32(&visits[i], 1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range visits {
 			if v != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", w, i, v)
@@ -64,13 +69,13 @@ func TestChunkedForVisitsEachOnce(t *testing.T) {
 	}
 }
 
-// The dynamic scheduler must preserve GroupBy's sequential value order for
-// any worker count, even though chunk boundaries differ per engine.
+// The dynamic scheduler must preserve GroupByCtx's sequential value order
+// for any worker count, even though chunk boundaries differ per engine.
 func TestGroupByChunkedDeterministic(t *testing.T) {
 	n := 500
-	reference := GroupBy(Sequential(), n, emitMod7)
+	reference := groupBy(t, Sequential(), n, emitMod7)
 	for _, w := range []int{1, 2, 3, 8, 16} {
-		got := GroupBy(New(w).Chunked(), n, emitMod7)
+		got := groupBy(t, New(w).Chunked(), n, emitMod7)
 		if !reflect.DeepEqual(got, reference) {
 			t.Fatalf("chunked GroupBy with %d workers differs from sequential", w)
 		}
@@ -79,7 +84,10 @@ func TestGroupByChunkedDeterministic(t *testing.T) {
 
 func TestMapChunkedOrder(t *testing.T) {
 	e := New(5).Chunked()
-	got := Map(e, 333, func(i int) int { return i * i })
+	got, err := MapCtx(context.Background(), e, 333, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)

@@ -251,27 +251,6 @@ func (e *Engine) ForCtx(ctx context.Context, n int, fn func(i int) error) error 
 	})
 }
 
-// For runs fn(i) for every i in [0, n), distributing spans over the worker
-// pool and waiting for all of them (a barrier). fn must be safe to call
-// concurrently for distinct i.
-func (e *Engine) For(n int, fn func(i int)) {
-	_ = e.ForCtx(context.Background(), n, func(i int) error {
-		fn(i)
-		return nil
-	})
-}
-
-// ForSpans runs fn once per partition of [0, n) concurrently and waits for
-// completion. Partition-grained work lets callers keep per-partition state
-// (local hash maps, accumulators) without locking — the moral equivalent of
-// Spark's mapPartitions.
-func (e *Engine) ForSpans(n int, fn func(s Span)) {
-	_ = e.ForSpansCtx(context.Background(), n, func(s Span) error {
-		fn(s)
-		return nil
-	})
-}
-
 // ConcurrentCtx runs the given stages concurrently — every stage gets its
 // own goroutine regardless of the worker count, since stages represent
 // independent pipeline branches (Figure 4), not data partitions. Each stage
@@ -312,21 +291,6 @@ func (e *Engine) ConcurrentCtx(ctx context.Context, stages ...func(ctx context.C
 	return firstErr
 }
 
-// Concurrent runs the given stages concurrently and waits for all of them.
-// This mirrors Figure 4 of the paper, where name blocking, token blocking
-// and top-neighbor extraction execute as independent parallel processes
-// joined at a synchronization point.
-func (e *Engine) Concurrent(stages ...func()) {
-	wrapped := make([]func(ctx context.Context) error, len(stages))
-	for i, st := range stages {
-		wrapped[i] = func(context.Context) error {
-			st()
-			return nil
-		}
-	}
-	_ = e.ConcurrentCtx(context.Background(), wrapped...)
-}
-
 // MapSpansCtx applies fn to every span of [0, n) concurrently and returns
 // the per-span results in span order (deterministic regardless of
 // scheduling). On cancellation or error the partial results are discarded.
@@ -347,16 +311,6 @@ func MapSpansCtx[T any](ctx context.Context, e *Engine, n int, fn func(s Span) (
 	return out, nil
 }
 
-// MapSpans applies fn to every partition of [0, n) concurrently and returns
-// the per-partition results in partition order (deterministic regardless of
-// scheduling).
-func MapSpans[T any](e *Engine, n int, fn func(s Span) T) []T {
-	out, _ := MapSpansCtx(context.Background(), e, n, func(s Span) (T, error) {
-		return fn(s), nil
-	})
-	return out
-}
-
 // ForLocalCtx runs fn(scratch, i) for every i in [0, n) under the engine's
 // scheduler, handing each worker its own scratch value built lazily by
 // newScratch on the worker's first span and REUSED across every span that
@@ -371,7 +325,7 @@ func MapSpans[T any](e *Engine, n int, fn func(s Span) T) []T {
 // Rows are still processed in deterministic per-index isolation: which
 // worker (and thus which scratch) handles a row affects no observable
 // output as long as fn resets its scratch, so all determinism guarantees of
-// For/Map carry over.
+// ForCtx/MapCtx carry over.
 func ForLocalCtx[S any](ctx context.Context, e *Engine, n int, newScratch func() S, fn func(scratch S, i int) error) error {
 	var (
 		scratch = make([]S, e.workers)
@@ -429,15 +383,6 @@ func MapCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) (T, err
 		return nil, err
 	}
 	return out, nil
-}
-
-// Map applies fn to every index of [0, n) concurrently and returns results
-// in index order.
-func Map[T any](e *Engine, n int, fn func(i int) T) []T {
-	out, _ := MapCtx(context.Background(), e, n, func(i int) (T, error) {
-		return fn(i), nil
-	})
-	return out
 }
 
 // Reduce folds per-partition results left-to-right in partition order.
@@ -509,12 +454,6 @@ func GroupByCtx[K comparable, V any](ctx context.Context, e *Engine, n int, emit
 	return out, nil
 }
 
-// GroupBy is GroupByCtx without cancellation.
-func GroupBy[K comparable, V any](e *Engine, n int, emit func(i int, yield func(K, V))) map[K][]V {
-	out, _ := GroupByCtx(context.Background(), e, n, emit)
-	return out
-}
-
 // CountByCtx tallies keys emitted per row, merging span-local counters in
 // span order. It is the shuffle used for Entity Frequency statistics.
 func CountByCtx[K comparable](ctx context.Context, e *Engine, n int, emit func(i int, yield func(K))) (map[K]int, error) {
@@ -541,10 +480,4 @@ func CountByCtx[K comparable](ctx context.Context, e *Engine, n int, emit func(i
 		}
 	}
 	return out, nil
-}
-
-// CountBy is CountByCtx without cancellation.
-func CountBy[K comparable](e *Engine, n int, emit func(i int, yield func(K))) map[K]int {
-	out, _ := CountByCtx(context.Background(), e, n, emit)
-	return out
 }

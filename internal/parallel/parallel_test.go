@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -57,7 +58,12 @@ func TestForVisitsEachOnce(t *testing.T) {
 		e := New(w)
 		n := 1000
 		var visits [1000]int32
-		e.For(n, func(i int) { atomic.AddInt32(&visits[i], 1) })
+		if err := e.ForCtx(context.Background(), n, func(i int) error {
+			atomic.AddInt32(&visits[i], 1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range visits {
 			if v != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", w, i, v)
@@ -69,19 +75,24 @@ func TestForVisitsEachOnce(t *testing.T) {
 func TestForZeroAndOne(t *testing.T) {
 	e := New(8)
 	called := 0
-	e.For(0, func(int) { called++ })
-	if called != 0 {
-		t.Error("For(0) must not call fn")
+	count := func(i int) error {
+		called += i + 1
+		return nil
 	}
-	e.For(1, func(i int) { called += i + 1 })
-	if called != 1 {
-		t.Error("For(1) must call fn(0) once")
+	if err := e.ForCtx(context.Background(), 0, count); err != nil || called != 0 {
+		t.Error("ForCtx(0) must not call fn")
+	}
+	if err := e.ForCtx(context.Background(), 1, count); err != nil || called != 1 {
+		t.Error("ForCtx(1) must call fn(0) once")
 	}
 }
 
 func TestMapOrder(t *testing.T) {
 	e := New(5)
-	got := Map(e, 10, func(i int) int { return i * i })
+	got, err := MapCtx(context.Background(), e, 10, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
@@ -91,8 +102,8 @@ func TestMapOrder(t *testing.T) {
 
 func TestMapSpansPartitionOrder(t *testing.T) {
 	e := New(4)
-	got := MapSpans(e, 100, func(s Span) int { return s.Lo })
-	if !reflect.DeepEqual(got, []int{0, 25, 50, 75}) {
+	got, err := MapSpansCtx(context.Background(), e, 100, func(s Span) (int, error) { return s.Lo, nil })
+	if err != nil || !reflect.DeepEqual(got, []int{0, 25, 50, 75}) {
 		t.Errorf("MapSpans results out of partition order: %v", got)
 	}
 }
@@ -100,17 +111,18 @@ func TestMapSpansPartitionOrder(t *testing.T) {
 func TestConcurrentBarrier(t *testing.T) {
 	e := New(4)
 	var a, b, c atomic.Int32
-	e.Concurrent(
-		func() { a.Store(1) },
-		func() { b.Store(2) },
-		func() { c.Store(3) },
-	)
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Error("Concurrent did not run all stages before returning")
+	store := func(v *atomic.Int32, x int32) func(context.Context) error {
+		return func(context.Context) error {
+			v.Store(x)
+			return nil
+		}
 	}
-	e.Concurrent(func() { a.Store(10) })
-	if a.Load() != 10 {
-		t.Error("Concurrent single stage")
+	err := e.ConcurrentCtx(context.Background(), store(&a, 1), store(&b, 2), store(&c, 3))
+	if err != nil || a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
+		t.Error("ConcurrentCtx did not run all stages before returning")
+	}
+	if err := e.ConcurrentCtx(context.Background(), store(&a, 10)); err != nil || a.Load() != 10 {
+		t.Error("ConcurrentCtx single stage")
 	}
 }
 
@@ -136,16 +148,26 @@ func TestSums(t *testing.T) {
 	}
 }
 
-// GroupBy must produce sequential order regardless of worker count.
+// GroupByCtx must produce sequential order regardless of worker count.
 func TestGroupByDeterministic(t *testing.T) {
 	n := 500
-	reference := GroupBy(Sequential(), n, emitMod7)
+	reference := groupBy(t, Sequential(), n, emitMod7)
 	for _, w := range []int{2, 3, 8, 16} {
-		got := GroupBy(New(w), n, emitMod7)
+		got := groupBy(t, New(w), n, emitMod7)
 		if !reflect.DeepEqual(got, reference) {
 			t.Fatalf("GroupBy with %d workers differs from sequential", w)
 		}
 	}
+}
+
+// groupBy runs GroupByCtx to completion, failing the test on an error.
+func groupBy(t *testing.T, e *Engine, n int, emit func(i int, yield func(int, int))) map[int][]int {
+	t.Helper()
+	got, err := GroupByCtx(context.Background(), e, n, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func emitMod7(i int, yield func(int, int)) {
@@ -156,8 +178,8 @@ func emitMod7(i int, yield func(int, int)) {
 }
 
 func TestGroupByEmpty(t *testing.T) {
-	got := GroupBy(New(4), 0, func(i int, yield func(string, int)) { yield("x", i) })
-	if len(got) != 0 {
+	got, err := GroupByCtx(context.Background(), New(4), 0, func(i int, yield func(string, int)) { yield("x", i) })
+	if err != nil || len(got) != 0 {
 		t.Errorf("GroupBy(0 rows) = %v, want empty", got)
 	}
 }
@@ -172,10 +194,13 @@ func TestCountByMatchesSequential(t *testing.T) {
 			yield("buzz")
 		}
 	}
-	ref := CountBy(Sequential(), n, emit)
+	ref, err := CountByCtx(context.Background(), Sequential(), n, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []int{2, 4, 9} {
-		got := CountBy(New(w), n, emit)
-		if !reflect.DeepEqual(got, ref) {
+		got, err := CountByCtx(context.Background(), New(w), n, emit)
+		if err != nil || !reflect.DeepEqual(got, ref) {
 			t.Fatalf("CountBy with %d workers = %v, want %v", w, got, ref)
 		}
 	}
@@ -184,14 +209,17 @@ func TestCountByMatchesSequential(t *testing.T) {
 	}
 }
 
-// Property: For over any n touches the sum correctly for any worker count.
+// Property: ForCtx over any n touches the sum correctly for any worker count.
 func TestForSumProperty(t *testing.T) {
 	f := func(n uint16, w uint8) bool {
 		size := int(n % 2048)
 		e := New(int(w%8) + 1)
 		var sum atomic.Int64
-		e.For(size, func(i int) { sum.Add(int64(i)) })
-		return sum.Load() == int64(size)*int64(size-1)/2
+		err := e.ForCtx(context.Background(), size, func(i int) error {
+			sum.Add(int64(i))
+			return nil
+		})
+		return err == nil && sum.Load() == int64(size)*int64(size-1)/2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -10,6 +10,7 @@
 package similarity
 
 import (
+	"context"
 	"math"
 	"strings"
 
@@ -87,15 +88,22 @@ type PairCorpus struct {
 }
 
 // BuildPairCorpus vectorizes both KBs with token n-grams of size n and the
-// given weighting. Document frequency counts each entity once per term.
-func BuildPairCorpus(e *parallel.Engine, k1, k2 *kb.KB, n int, w Weighting) *PairCorpus {
+// given weighting. Document frequency counts each entity once per term. The
+// per-entity term counting observes ctx between chunks.
+func BuildPairCorpus(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, n int, w Weighting) (*PairCorpus, error) {
 	tok := kb.NewTokenizer()
-	terms1 := parallel.Map(e, k1.Len(), func(i int) map[string]float64 {
-		return termCounts(tok, k1.Entity(kb.EntityID(i)), n)
+	terms1, err := parallel.MapCtx(ctx, e, k1.Len(), func(i int) (map[string]float64, error) {
+		return termCounts(tok, k1.Entity(kb.EntityID(i)), n), nil
 	})
-	terms2 := parallel.Map(e, k2.Len(), func(i int) map[string]float64 {
-		return termCounts(tok, k2.Entity(kb.EntityID(i)), n)
+	if err != nil {
+		return nil, err
+	}
+	terms2, err := parallel.MapCtx(ctx, e, k2.Len(), func(i int) (map[string]float64, error) {
+		return termCounts(tok, k2.Entity(kb.EntityID(i)), n), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	pc := &PairCorpus{NGram: n, Weighting: w}
 	if w == TFIDF {
 		df := make(map[string]int)
@@ -123,7 +131,7 @@ func BuildPairCorpus(e *parallel.Engine, k1, k2 *kb.KB, n int, w Weighting) *Pai
 			return vs
 		}
 		pc.V1, pc.V2 = apply(terms1), apply(terms2)
-		return pc
+		return pc, nil
 	}
 	apply := func(ms []map[string]float64) []Vector {
 		vs := make([]Vector, len(ms))
@@ -134,7 +142,7 @@ func BuildPairCorpus(e *parallel.Engine, k1, k2 *kb.KB, n int, w Weighting) *Pai
 		return vs
 	}
 	pc.V1, pc.V2 = apply(terms1), apply(terms2)
-	return pc
+	return pc, nil
 }
 
 // termCounts extracts the n-gram term frequencies of one description. The

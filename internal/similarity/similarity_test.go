@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,17 @@ import (
 )
 
 var seq = parallel.Sequential()
+
+// buildPairCorpus runs BuildPairCorpus under a background context, failing
+// the test on an error.
+func buildPairCorpus(t *testing.T, e *parallel.Engine, k1, k2 *kb.KB, n int, w Weighting) *PairCorpus {
+	t.Helper()
+	pc, err := BuildPairCorpus(context.Background(), e, k1, k2, n, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pc
+}
 
 func vec(terms map[string]float64) *Vector {
 	v := &Vector{Terms: terms}
@@ -115,7 +127,7 @@ func TestMeasureProperties(t *testing.T) {
 
 func TestBuildPairCorpusUnigram(t *testing.T) {
 	w, d := testkb.Figure1()
-	pc := BuildPairCorpus(seq, w, d, 1, TF)
+	pc := buildPairCorpus(t, seq, w, d, 1, TF)
 	if len(pc.V1) != w.Len() || len(pc.V2) != d.Len() {
 		t.Fatal("corpus sizes wrong")
 	}
@@ -127,7 +139,7 @@ func TestBuildPairCorpusUnigram(t *testing.T) {
 
 func TestBuildPairCorpusBigram(t *testing.T) {
 	w, d := testkb.Figure1()
-	pc := BuildPairCorpus(seq, w, d, 2, TF)
+	pc := buildPairCorpus(t, seq, w, d, 2, TF)
 	chef := pc.V1[w.Lookup("w:JohnLakeA")]
 	if chef.Terms["john_lake"] != 1 {
 		t.Errorf("bigram john_lake missing: %v", chef.Terms)
@@ -151,7 +163,7 @@ func TestTFIDFDownweightsFrequent(t *testing.T) {
 	x := b2.AddEntity("x")
 	b2.AddLiteral(x, "p", "common rare")
 	k2 := b2.Build()
-	pc := BuildPairCorpus(seq, k1, k2, 1, TFIDF)
+	pc := buildPairCorpus(t, seq, k1, k2, 1, TFIDF)
 	v := pc.V1[0]
 	if v.Terms["rare"] <= v.Terms["common"] {
 		t.Errorf("idf: rare=%v common=%v, want rare > common", v.Terms["rare"], v.Terms["common"])
@@ -170,8 +182,8 @@ func TestWeightingAndMeasureStrings(t *testing.T) {
 
 func TestCorpusParallelDeterminism(t *testing.T) {
 	w, d := testkb.Figure1()
-	ref := BuildPairCorpus(seq, w, d, 1, TFIDF)
-	got := BuildPairCorpus(parallel.New(4), w, d, 1, TFIDF)
+	ref := buildPairCorpus(t, seq, w, d, 1, TFIDF)
+	got := buildPairCorpus(t, parallel.New(4), w, d, 1, TFIDF)
 	for i := range ref.V1 {
 		if math.Abs(ref.V1[i].L2-got.V1[i].L2) > 1e-12 {
 			t.Fatalf("vector %d differs across worker counts", i)

@@ -134,7 +134,7 @@ func naiveAttributeImportances(k *kb.KB) []AttributeStat {
 func TestRelationImportancesMatchNaiveReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		k := randomKB(rand.New(rand.NewSource(seed)), 40)
-		got := RelationImportances(seq, k)
+		got := relationImportances(t, seq, k)
 		wantByPred := map[string]RelationStat{}
 		for _, st := range naiveRelationImportances(k) {
 			wantByPred[st.Predicate] = st
@@ -158,7 +158,7 @@ func TestRelationImportancesMatchNaiveReference(t *testing.T) {
 func TestAttributeImportancesMatchNaiveReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		k := randomKB(rand.New(rand.NewSource(100+seed)), 40)
-		got := AttributeImportances(seq, k)
+		got := attributeImportances(t, seq, k)
 		wantByAttr := map[string]AttributeStat{}
 		for _, st := range naiveAttributeImportances(k) {
 			wantByAttr[st.Attribute] = st
@@ -183,14 +183,14 @@ func TestAttributeImportancesMatchNaiveReference(t *testing.T) {
 // scheduler (the determinism contract of every pipeline stage).
 func TestColumnarStatsParallelDeterminism(t *testing.T) {
 	k := randomKB(rand.New(rand.NewSource(7)), 120)
-	refR := RelationImportances(seq, k)
-	refA := AttributeImportances(seq, k)
+	refR := relationImportances(t, seq, k)
+	refA := attributeImportances(t, seq, k)
 	for _, workers := range []int{2, 5, 8} {
 		e := parallel.New(workers)
-		if got := RelationImportances(e, k); !reflect.DeepEqual(got, refR) {
+		if got := relationImportances(t, e, k); !reflect.DeepEqual(got, refR) {
 			t.Fatalf("workers=%d: RelationImportances differ", workers)
 		}
-		if got := AttributeImportances(e, k); !reflect.DeepEqual(got, refA) {
+		if got := attributeImportances(t, e, k); !reflect.DeepEqual(got, refA) {
 			t.Fatalf("workers=%d: AttributeImportances differ", workers)
 		}
 	}

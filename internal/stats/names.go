@@ -150,12 +150,6 @@ func AttributeImportancesCtx(ctx context.Context, e *parallel.Engine, k *kb.KB) 
 	return out, nil
 }
 
-// AttributeImportances is AttributeImportancesCtx without cancellation.
-func AttributeImportances(e *parallel.Engine, k *kb.KB) []AttributeStat {
-	out, _ := AttributeImportancesCtx(context.Background(), e, k)
-	return out
-}
-
 // NameAttributesCtx returns the global top-k attributes of highest
 // importance; their literal values act as entity names (§2.2).
 func NameAttributesCtx(ctx context.Context, e *parallel.Engine, k *kb.KB, topK int) ([]string, error) {
@@ -171,12 +165,6 @@ func NameAttributesCtx(ctx context.Context, e *parallel.Engine, k *kb.KB, topK i
 		names = append(names, s.Attribute)
 	}
 	return names, nil
-}
-
-// NameAttributes is NameAttributesCtx without cancellation.
-func NameAttributes(e *parallel.Engine, k *kb.KB, topK int) []string {
-	out, _ := NameAttributesCtx(context.Background(), e, k, topK)
-	return out
 }
 
 // NameLookup is the resolve-scoped evaluator of the name(e_i) function

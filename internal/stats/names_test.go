@@ -22,7 +22,7 @@ func TestAttributeImportances(t *testing.T) {
 		}
 	}
 	k := b.Build()
-	stats := AttributeImportances(seq, k)
+	stats := attributeImportances(t, seq, k)
 	if len(stats) != 3 {
 		t.Fatalf("got %d attributes, want 3", len(stats))
 	}
@@ -46,7 +46,7 @@ func TestAttributeImportances(t *testing.T) {
 
 func TestNameAttributesTopK(t *testing.T) {
 	w, _ := testkb.Figure1()
-	attrs := NameAttributes(seq, w, 2)
+	attrs := nameAttributes(t, seq, w, 2)
 	if len(attrs) != 2 {
 		t.Fatalf("NameAttributes k=2 = %v", attrs)
 	}
@@ -61,20 +61,20 @@ func TestNameAttributesTopK(t *testing.T) {
 		t.Errorf("NameAttributes = %v, want to include label", attrs)
 	}
 	// k larger than attribute count returns all.
-	all := NameAttributes(seq, w, 100)
+	all := nameAttributes(t, seq, w, 100)
 	if len(all) != w.Attributes() {
 		t.Errorf("NameAttributes k=100 returned %d of %d", len(all), w.Attributes())
 	}
 	// k=0 returns none.
-	if got := NameAttributes(seq, w, 0); len(got) != 0 {
+	if got := nameAttributes(t, seq, w, 0); len(got) != 0 {
 		t.Errorf("NameAttributes k=0 = %v", got)
 	}
 }
 
 func TestNamesOf(t *testing.T) {
 	w, d := testkb.Figure1()
-	wAttrs := NameAttributes(seq, w, 2)
-	dAttrs := NameAttributes(seq, d, 2)
+	wAttrs := nameAttributes(t, seq, w, 2)
+	dAttrs := nameAttributes(t, seq, d, 2)
 	chef1 := w.Entity(w.Lookup("w:JohnLakeA"))
 	chef2 := d.Entity(d.Lookup("d:JonnyLake"))
 	n1 := NamesOf(chef1, wAttrs)

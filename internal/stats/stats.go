@@ -102,12 +102,6 @@ func efCountsAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, n int) ([
 	return counts, nil
 }
 
-// BuildEF is BuildEFCtx without cancellation.
-func BuildEF(e *parallel.Engine, k *kb.KB) *EFIndex {
-	ix, _ := BuildEFCtx(context.Background(), e, k)
-	return ix
-}
-
 // EF returns the entity frequency of token t (0 if the token never occurs).
 func (ix *EFIndex) EF(t string) int {
 	if ix.dict == nil {
@@ -295,12 +289,6 @@ func prefixSums(counts []int32) []int32 {
 	return off
 }
 
-// RelationImportances is RelationImportancesCtx without cancellation.
-func RelationImportances(e *parallel.Engine, k *kb.KB) []RelationStat {
-	out, _ := RelationImportancesCtx(context.Background(), e, k)
-	return out
-}
-
 func harmonicMean(a, b float64) float64 {
 	if a+b == 0 {
 		return 0
@@ -462,13 +450,7 @@ func TopNeighborsOf(groups, ranks []int32, objs []kb.EntityID, n int) []kb.Entit
 	return gatherTopSpans(spans, objs, n)
 }
 
-// TopNeighbors is TopNeighborsCtx without cancellation.
-func TopNeighbors(e *parallel.Engine, k *kb.KB, order map[string]int, n int) [][]kb.EntityID {
-	out, _ := TopNeighborsCtx(context.Background(), e, k, order, n)
-	return out
-}
-
-// TopInNeighbors reverses a TopNeighbors index: result[e] lists the entities
+// TopInNeighbors reverses a top-neighbor index: result[e] lists the entities
 // that have e among their top neighbors (Algorithm 1, lines 44–47). Lists
 // are sorted by entity ID. The reversal is a counting pass + scatter fill
 // into one flat array (mirroring blocking.TokenIndex): sources are visited

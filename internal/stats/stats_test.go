@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -13,9 +14,57 @@ import (
 
 var seq = parallel.Sequential()
 
+// The helpers below run a statistics pass under a background context and
+// fail the test on an error.
+
+func buildEF(t testing.TB, e *parallel.Engine, k *kb.KB) *EFIndex {
+	t.Helper()
+	ix, err := BuildEFCtx(context.Background(), e, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func relationImportances(t testing.TB, e *parallel.Engine, k *kb.KB) []RelationStat {
+	t.Helper()
+	out, err := RelationImportancesCtx(context.Background(), e, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func attributeImportances(t testing.TB, e *parallel.Engine, k *kb.KB) []AttributeStat {
+	t.Helper()
+	out, err := AttributeImportancesCtx(context.Background(), e, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func nameAttributes(t testing.TB, e *parallel.Engine, k *kb.KB, topK int) []string {
+	t.Helper()
+	out, err := NameAttributesCtx(context.Background(), e, k, topK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func topNeighbors(t testing.TB, e *parallel.Engine, k *kb.KB, order map[string]int, n int) [][]kb.EntityID {
+	t.Helper()
+	out, err := TopNeighborsCtx(context.Background(), e, k, order, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestBuildEF(t *testing.T) {
 	w, _ := testkb.Figure1()
-	ef := BuildEF(seq, w)
+	ef := buildEF(t, seq, w)
 	// "lake" appears in one Wikidata description (the chef).
 	if got := ef.EF("lake"); got != 1 {
 		t.Errorf(`EF("lake") = %d, want 1`, got)
@@ -38,9 +87,9 @@ func TestBuildEF(t *testing.T) {
 
 func TestEFParallelMatchesSequential(t *testing.T) {
 	w, _ := testkb.Figure1()
-	ref := BuildEF(seq, w)
+	ref := buildEF(t, seq, w)
 	for _, workers := range []int{2, 4, 8} {
-		got := BuildEF(parallel.New(workers), w)
+		got := buildEF(t, parallel.New(workers), w)
 		if got.DistinctTokens() != ref.DistinctTokens() {
 			t.Fatalf("workers=%d: distinct tokens differ", workers)
 		}
@@ -73,7 +122,7 @@ func TestTokenWeight(t *testing.T) {
 
 func TestValueSimSharedTokens(t *testing.T) {
 	w, d := testkb.Figure1()
-	ef1, ef2 := BuildEF(seq, w), BuildEF(seq, d)
+	ef1, ef2 := buildEF(t, seq, w), buildEF(t, seq, d)
 	chef1 := w.Entity(w.Lookup("w:JohnLakeA"))
 	chef2 := d.Entity(d.Lookup("d:JonnyLake"))
 	// Shared tokens: "lake", "j" (from "J. Lake"). Both infrequent.
@@ -92,7 +141,7 @@ func TestValueSimSharedTokens(t *testing.T) {
 // cross-similarity.
 func TestValueSimMetricProperties(t *testing.T) {
 	w, d := testkb.Figure1()
-	ef1, ef2 := BuildEF(seq, w), BuildEF(seq, d)
+	ef1, ef2 := buildEF(t, seq, w), buildEF(t, seq, d)
 	for i := 0; i < w.Len(); i++ {
 		di := w.Entity(kb.EntityID(i))
 		for j := 0; j < d.Len(); j++ {
@@ -134,7 +183,7 @@ func TestRelationImportancesOrdering(t *testing.T) {
 	b.AddObject(ids[3], "owns", "e")
 	k := b.Build()
 
-	stats := RelationImportances(seq, k)
+	stats := relationImportances(t, seq, k)
 	if len(stats) != 3 {
 		t.Fatalf("got %d relations, want 3", len(stats))
 	}
@@ -167,7 +216,7 @@ func TestRelationImportancesDuplicateEdges(t *testing.T) {
 	b.AddObject(a, "p", "b")
 	b.AddObject(a, "p", "b")
 	k := b.Build()
-	st := RelationImportances(seq, k)
+	st := relationImportances(t, seq, k)
 	if st[0].Instances != 1 {
 		t.Errorf("Instances = %d, want 1 (deduplicated)", st[0].Instances)
 	}
@@ -175,7 +224,7 @@ func TestRelationImportancesDuplicateEdges(t *testing.T) {
 
 func TestRelationImportancesEmpty(t *testing.T) {
 	k := kb.NewBuilder("X").Build()
-	if got := RelationImportances(seq, k); len(got) != 0 {
+	if got := relationImportances(t, seq, k); len(got) != 0 {
 		t.Errorf("importances of empty KB = %v", got)
 	}
 }
@@ -190,21 +239,21 @@ func TestGlobalRelationOrder(t *testing.T) {
 
 func TestTopNeighbors(t *testing.T) {
 	w, _ := testkb.Figure1()
-	rel := RelationImportances(seq, w)
+	rel := relationImportances(t, seq, w)
 	order := GlobalRelationOrder(rel)
-	top := TopNeighbors(seq, w, order, 2)
+	top := topNeighbors(t, seq, w, order, 2)
 	r1 := w.Lookup("w:Restaurant1")
 	got := top[r1]
 	if len(got) != 2 {
 		t.Fatalf("top2neighbors(Restaurant1) = %v, want 2 entities", got)
 	}
 	// With N=3 all three neighbors appear.
-	top3 := TopNeighbors(seq, w, order, 3)
+	top3 := topNeighbors(t, seq, w, order, 3)
 	if len(top3[r1]) != 3 {
 		t.Fatalf("top3neighbors(Restaurant1) = %v, want 3", top3[r1])
 	}
 	// N=0 disables neighbor evidence.
-	top0 := TopNeighbors(seq, w, order, 0)
+	top0 := topNeighbors(t, seq, w, order, 0)
 	if top0[r1] != nil {
 		t.Errorf("top0neighbors = %v, want nil", top0[r1])
 	}
@@ -216,9 +265,9 @@ func TestTopNeighbors(t *testing.T) {
 
 func TestTopInNeighborsReverses(t *testing.T) {
 	w, _ := testkb.Figure1()
-	rel := RelationImportances(seq, w)
+	rel := relationImportances(t, seq, w)
 	order := GlobalRelationOrder(rel)
-	top := TopNeighbors(seq, w, order, 3)
+	top := topNeighbors(t, seq, w, order, 3)
 	in := TopInNeighbors(top)
 	r1 := w.Lookup("w:Restaurant1")
 	chef := w.Lookup("w:JohnLakeA")
@@ -249,11 +298,11 @@ func TestTopInNeighborsReverses(t *testing.T) {
 
 func TestTopNeighborsParallelDeterminism(t *testing.T) {
 	w, _ := testkb.Figure1()
-	rel := RelationImportances(seq, w)
+	rel := relationImportances(t, seq, w)
 	order := GlobalRelationOrder(rel)
-	ref := TopNeighbors(seq, w, order, 2)
+	ref := topNeighbors(t, seq, w, order, 2)
 	for _, workers := range []int{2, 4} {
-		got := TopNeighbors(parallel.New(workers), w, order, 2)
+		got := topNeighbors(t, parallel.New(workers), w, order, 2)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: TopNeighbors differ", workers)
 		}

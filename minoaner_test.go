@@ -128,21 +128,16 @@ func TestPublicAPIResolveSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := ResolveSharded(context.Background(), d.K1, d.K2, DefaultConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sharded.Matches, ref.Matches) {
-		t.Error("ResolveSharded matches differ from Resolve")
-	}
-	cfg := DefaultConfig()
-	cfg.ShardCount = 3
-	routed, err := Resolve(context.Background(), d.K1, d.K2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(routed.Matches, ref.Matches) {
-		t.Error("ShardCount-routed Resolve matches differ from the monolithic run")
+	for _, shards := range []int{3, 4} {
+		cfg := DefaultConfig()
+		cfg.ShardCount = shards
+		sharded, err := Resolve(context.Background(), d.K1, d.K2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sharded.Matches, ref.Matches) {
+			t.Errorf("ShardCount=%d matches differ from the single-shard run", shards)
+		}
 	}
 }
 
@@ -184,14 +179,5 @@ func TestPublicAPIResolveCancellation(t *testing.T) {
 	cancel()
 	if _, err := Resolve(ctx, d.K1, d.K2, DefaultConfig()); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Resolve = %v, want context.Canceled", err)
-	}
-	// The deprecated alias must stay a faithful thin wrapper while callers
-	// migrate to the ctx-first canonical name.
-	alias, err := ResolveContext(context.Background(), d.K1, d.K2, DefaultConfig()) //nolint:staticcheck // exercising the deprecated alias
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(alias.Matches, out.Matches) {
-		t.Error("deprecated ResolveContext alias diverged from Resolve")
 	}
 }
