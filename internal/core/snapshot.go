@@ -13,7 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"minoaner/internal/blocking"
@@ -120,11 +119,16 @@ func (s *Substrate) ExportQueryState(ctx context.Context) (*QueryState, error) {
 	}
 	out := &QueryState{Graph: st.g, Scope: st.scope}
 	if st.names != nil {
-		out.Names = make([]NameUsage, 0, len(st.names))
+		usage := make([]NameUsage, 0, len(st.names))
+		names := make([]string, 0, len(st.names))
 		for n, u := range st.names {
-			out.Names = append(out.Names, NameUsage{Name: n, N1: u.n1, N2: u.n2, E1: u.e1, E2: u.e2})
+			usage = append(usage, NameUsage{Name: n, N1: u.n1, N2: u.n2, E1: u.e1, E2: u.e2})
+			names = append(names, n)
 		}
-		sort.Slice(out.Names, func(i, j int) bool { return out.Names[i].Name < out.Names[j].Name })
+		out.Names = make([]NameUsage, len(usage))
+		for i, idx := range kb.StringOrder(names) {
+			out.Names[i] = usage[idx]
+		}
 	} else {
 		out.Names = st.sorted
 	}

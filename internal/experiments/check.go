@@ -30,8 +30,9 @@ const (
 // max(baseline, loadFloorUS) × tolerance.
 const loadFloorUS = 2000.0
 
-// Snapshot-path gate constants: the cold open→first-query wall is judged
-// against max(baseline, snapFloorMS) × tolerance like every other timing,
+// Snapshot-path gate constants: the snapshot write and the cold
+// open→first-query wall are each judged against
+// max(baseline, snapFloorMS) × tolerance like every other timing,
 // and the warm-start claim itself must not regress — every dataset whose
 // BASELINE snapshot run beat the rebuild path by snapMinSpeedup× counts as
 // a witness of the claim, and the current run must reproduce it on at
@@ -190,14 +191,18 @@ func CheckBench(cur, base *BenchReport, maxRatio float64) error {
 					}
 				}
 			}
-			// Snapshot runs: the cold open→first-query wall against its own
-			// floored baseline; the speedup requirement is tallied across
-			// datasets below.
+			// Snapshot runs: the write and the cold open→first-query wall
+			// against their own floored baselines; the speedup requirement is
+			// tallied across datasets below.
 			if len(b.SnapshotRuns) > 0 {
 				if len(c.SnapshotRuns) == 0 {
 					failf("%s: snapshot run present in baseline but not in current run", b.Dataset)
 				} else {
 					bs, cs := b.SnapshotRuns[0], c.SnapshotRuns[0]
+					if eb := max(bs.WriteMS, snapFloorMS); cs.WriteMS > eb*maxRatio {
+						failf("%s: snapshot write %.2fms exceeds %.2fms baseline (floored to %.1fms) ×%.1f tolerance",
+							b.Dataset, cs.WriteMS, bs.WriteMS, eb, maxRatio)
+					}
 					if eb := max(bs.OpenMS, snapFloorMS); cs.OpenMS > eb*maxRatio {
 						failf("%s: snapshot open→first-query %.2fms exceeds %.2fms baseline (floored to %.1fms) ×%.1f tolerance",
 							b.Dataset, cs.OpenMS, bs.OpenMS, eb, maxRatio)

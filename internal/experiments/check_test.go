@@ -204,6 +204,45 @@ func TestCheckBenchGatesLoadRuns(t *testing.T) {
 	}
 }
 
+// Snapshot runs gate the write and the cold open→first-query wall, each
+// against its own baseline floored at snapFloorMS.
+func TestCheckBenchGatesSnapshotRuns(t *testing.T) {
+	withSnap := func(write, open float64) *BenchReport {
+		r := baseReport()
+		r.Results[0].SnapshotRuns = []SnapshotRun{{WriteMS: write, OpenMS: open, RebuildMS: 400, SpeedupX: 400 / open}}
+		return r
+	}
+	base := withSnap(100, 2)
+	// Within tolerance, and an open under the floored threshold, passes.
+	if err := CheckBench(withSnap(190, 9.9), base, 2.0); err != nil {
+		t.Errorf("within-tolerance snapshot run failed the gate: %v", err)
+	}
+	// A write past its baseline × tolerance fails, naming the write.
+	err := CheckBench(withSnap(210, 2), base, 2.0)
+	if err == nil || !strings.Contains(err.Error(), "snapshot write 210.00ms") {
+		t.Errorf("snapshot write regression not caught: %v", err)
+	}
+	// A sub-floor write baseline is floored: 9.9ms against a 1ms baseline is
+	// jitter under 2 × 5ms, 10.1ms is not.
+	small := withSnap(1, 2)
+	if err := CheckBench(withSnap(9.9, 2), small, 2.0); err != nil {
+		t.Errorf("sub-floor snapshot write jitter failed the gate: %v", err)
+	}
+	if err := CheckBench(withSnap(10.1, 2), small, 2.0); err == nil || !strings.Contains(err.Error(), "snapshot write") {
+		t.Errorf("floored snapshot write regression not caught: %v", err)
+	}
+	// The open→first-query wall keeps its own gate.
+	err = CheckBench(withSnap(100, 10.1), base, 2.0)
+	if err == nil || !strings.Contains(err.Error(), "snapshot open→first-query") {
+		t.Errorf("snapshot open regression not caught: %v", err)
+	}
+	// A baseline snapshot run must not silently vanish.
+	err = CheckBench(baseReport(), base, 2.0)
+	if err == nil || !strings.Contains(err.Error(), "snapshot run present in baseline") {
+		t.Errorf("missing snapshot run not caught: %v", err)
+	}
+}
+
 func TestCheckBenchFailsOnF1Drop(t *testing.T) {
 	base := baseReport()
 	cur := baseReport()

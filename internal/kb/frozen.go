@@ -11,7 +11,6 @@ package kb
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"unsafe"
 )
@@ -29,7 +28,9 @@ type FrozenStrings struct {
 // NewFrozenStrings assembles a frozen table over caller-provided backing
 // arrays (typically views into a memory-mapped snapshot region; the table
 // aliases them). off must hold n+1 non-decreasing offsets covering blob
-// exactly; sorted must be nil or hold n entries.
+// exactly; sorted must be nil or hold n entries, each below n. Whether
+// sorted really orders the strings is not checked (that would cost a string
+// comparison per entry); an out-of-order table only makes Lookup miss.
 func NewFrozenStrings(blob []byte, off []int64, sorted []uint32) (*FrozenStrings, error) {
 	if len(off) == 0 {
 		return nil, fmt.Errorf("kb: frozen strings: empty offset table")
@@ -46,12 +47,18 @@ func NewFrozenStrings(blob []byte, off []int64, sorted []uint32) (*FrozenStrings
 	if sorted != nil && len(sorted) != n {
 		return nil, fmt.Errorf("kb: frozen strings: sorted permutation has %d entries, want %d", len(sorted), n)
 	}
+	for i, idx := range sorted {
+		if int64(idx) >= int64(n) {
+			return nil, fmt.Errorf("kb: frozen strings: sorted entry %d is %d, want below %d", i, idx, n)
+		}
+	}
 	return &FrozenStrings{blob: blob, off: off, sorted: sorted}, nil
 }
 
 // FreezeStrings builds a frozen table from a live string slice (the write
 // side of snapshot serialization). withLookup additionally computes the
-// string-sorted permutation so the frozen table supports Lookup.
+// string-sorted permutation (StringOrder) so the frozen table supports
+// Lookup.
 func FreezeStrings(strs []string, withLookup bool) *FrozenStrings {
 	total := 0
 	for _, s := range strs {
@@ -67,13 +74,7 @@ func FreezeStrings(strs []string, withLookup bool) *FrozenStrings {
 	}
 	f.off[len(strs)] = int64(len(f.blob))
 	if withLookup {
-		f.sorted = make([]uint32, len(strs))
-		for i := range f.sorted {
-			f.sorted[i] = uint32(i)
-		}
-		sort.Slice(f.sorted, func(a, b int) bool {
-			return f.At(int(f.sorted[a])) < f.At(int(f.sorted[b]))
-		})
+		f.sorted = StringOrder(strs)
 	}
 	return f
 }
@@ -121,14 +122,36 @@ func NewFrozenInterner(fs *FrozenStrings) *Interner {
 
 // Freeze snapshots the interner's current contents as a frozen table with
 // lookup support (token ID i maps to string i, preserving the dense ID
-// space). A frozen interner returns its own table.
+// space). A frozen interner returns its own table. The string table is
+// append-only, so only reading its length needs the lock: the sort runs
+// without blocking concurrent lookups.
 func (in *Interner) Freeze() *FrozenStrings {
 	if in.frozen != nil {
 		return in.frozen
 	}
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	return FreezeStrings(in.strs, true)
+	strs := in.strs
+	in.mu.Unlock()
+	return FreezeStrings(strs, true)
+}
+
+// FreezeWithOrder is Freeze with the lookup permutation supplied by the
+// caller instead of sorted — for a dictionary whose string order is already
+// known, such as one that merges two frozen dictionaries. sorted must be the
+// string order of the interner's tokens; its shape (length, range) is
+// validated, its ordering is not.
+func (in *Interner) FreezeWithOrder(sorted []uint32) (*FrozenStrings, error) {
+	var blob []byte
+	var off []int64
+	if in.frozen != nil {
+		blob, off, _ = in.frozen.Parts()
+	} else {
+		in.mu.Lock()
+		strs := in.strs
+		in.mu.Unlock()
+		blob, off, _ = FreezeStrings(strs, false).Parts()
+	}
+	return NewFrozenStrings(blob, off, sorted)
 }
 
 // NewFrozenSchema wraps three frozen tables (predicates, attribute names,
@@ -154,6 +177,7 @@ func (t *symtab) freeze() *FrozenStrings {
 		return t.frozen
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return FreezeStrings(t.strs, true)
+	strs := t.strs
+	t.mu.Unlock()
+	return FreezeStrings(strs, true)
 }

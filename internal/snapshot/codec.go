@@ -1,9 +1,13 @@
-// Typed section codecs: little-endian encoders for the numeric column types
-// the format stores, and the matching views — zero-copy reinterpretation of
-// the section bytes (the mmap fast path) or an explicit element-by-element
-// decode (the portable / cross-endian path). Zero-copy is only taken when
-// the host is little-endian and the section base is 8-byte aligned, which
-// parseHeader guarantees relative to the image start.
+// Typed section codecs: the little-endian encoding of the numeric column
+// types the format stores, and the matching views. On a little-endian host
+// the write side is copy-free — a numeric section is a byte view of the
+// live column (leBytes) — except for edge records, whose struct padding is
+// written as zero through a chunk buffer. The read side is a zero-copy
+// reinterpretation of the section bytes (the mmap fast path) or an explicit
+// element-by-element decode (the portable / cross-endian path). Zero-copy
+// reads are only taken when the host is little-endian and the section base
+// is 8-byte aligned, which parseHeader guarantees relative to the image
+// start.
 package snapshot
 
 import (
@@ -33,48 +37,60 @@ func hostLittleEndian() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
-func encU32s[T ~uint32](v []T) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[i*4:], uint32(x))
-	}
-	return b
+// column is the set of fixed-size element types the format stores as
+// little-endian arrays.
+type column interface {
+	~uint32 | ~int32 | ~int64 | ~float64
 }
 
-func encI32s[T ~int32](v []T) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[i*4:], uint32(x))
+// leBytes returns the little-endian encoding of v. On a little-endian host
+// that is v's own memory, so the result is a zero-copy byte view of the
+// live column (the write-side mirror of the view* loaders); the caller must
+// only read it while v is alive and unchanged. Big-endian hosts get an
+// encoded copy, reversing each element's bytes.
+func leBytes[T column](v []T) []byte {
+	if len(v) == 0 {
+		return nil
 	}
-	return b
+	size := int(unsafe.Sizeof(v[0]))
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*size)
+	if hostLittleEndian() {
+		return b
+	}
+	return swapElems(b, size)
 }
 
-func encI64s(v []int64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[i*8:], uint64(x))
+// swapElems returns a copy of b with the bytes of every size-byte element
+// reversed (the native-to-little-endian step on a big-endian host).
+func swapElems(b []byte, size int) []byte {
+	out := make([]byte, len(b))
+	for i := 0; i < len(b); i += size {
+		for k := 0; k < size; k++ {
+			out[i+k] = b[i+size-1-k]
+		}
 	}
-	return b
+	return out
 }
 
-func encF64s(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
-	}
-	return b
-}
+// edgeSize is the on-disk size of one edge record, and edgeChunk the number
+// of records the encoder buffers per write.
+const (
+	edgeSize  = 16
+	edgeChunk = 4096
+)
 
-// encEdges writes 16-byte records {to int32, pad uint32(0), weight float64
-// bits} — the in-memory little-endian layout of graph.Edge, with the padding
-// pinned to zero for deterministic files.
-func encEdges(v []graph.Edge) []byte {
-	b := make([]byte, 16*len(v))
-	for i, e := range v {
-		binary.LittleEndian.PutUint32(b[i*16:], uint32(int32(e.To)))
-		binary.LittleEndian.PutUint64(b[i*16+8:], math.Float64bits(e.Weight))
+// encEdges appends 16-byte records {to int32, pad uint32(0), weight float64
+// bits} to dst — the in-memory little-endian layout of graph.Edge, with the
+// padding written as zero for deterministic files (a byte view would expose
+// whatever the padding holds).
+func encEdges(dst []byte, v []graph.Edge) []byte {
+	for _, e := range v {
+		var rec [edgeSize]byte
+		binary.LittleEndian.PutUint32(rec[0:], uint32(int32(e.To)))
+		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(e.Weight))
+		dst = append(dst, rec[:]...)
 	}
-	return b
+	return dst
 }
 
 // The view* functions turn one section's bytes into a typed slice. In
@@ -172,23 +188,6 @@ func viewEdges(b []byte, copyMode bool, what string) ([]graph.Edge, error) {
 		}
 	}
 	return out, nil
-}
-
-// flatten lays a ragged [][]T out as an element-count offset table plus one
-// flat array (the write side of the nested codec).
-func flatten[T any](rows [][]T) ([]int64, []T) {
-	off := make([]int64, len(rows)+1)
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	flat := make([]T, 0, total)
-	for i, r := range rows {
-		off[i] = int64(len(flat))
-		flat = append(flat, r...)
-	}
-	off[len(rows)] = int64(len(flat))
-	return off, flat
 }
 
 // nested rebuilds the ragged view over a flat array: row i is

@@ -231,12 +231,8 @@ func lookupFrozen(h *header, copyMode bool, base uint32, what string) (*kb.Froze
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := fs.Lookup(""); !ok {
-		// Lookup("") failing can also mean "" absent; detect a missing sorted
-		// table directly from the section map.
-		if _, present := h.optional(base + frozenSorted); !present && fs.Len() > 0 {
-			return nil, fmt.Errorf("%w: %s: missing sorted permutation", ErrCorrupt, what)
-		}
+	if _, present := h.optional(base + frozenSorted); !present && fs.Len() > 0 {
+		return nil, fmt.Errorf("%w: %s: missing sorted permutation", ErrCorrupt, what)
 	}
 	return fs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -212,8 +213,8 @@ func TestRoundTripQueryRows(t *testing.T) {
 }
 
 // TestCorruptInputs exercises the failure paths: truncation, a wrong magic,
-// an unknown version and a misaligned section must all surface as the typed
-// errors, never a panic.
+// an unknown version, a misaligned section and an out-of-range dictionary
+// permutation entry must all surface as the typed errors, never a panic.
 func TestCorruptInputs(t *testing.T) {
 	sub := buildPreset(t, "Restaurant")
 	data := snapshotBytes(t, sub)
@@ -239,6 +240,16 @@ func TestCorruptInputs(t *testing.T) {
 			b[headerSize+8] += 4
 			return b
 		}), ErrMisaligned},
+		{"sorted-entry-out-of-range", mutate(func(b []byte) []byte {
+			// One dictionary permutation entry far past the table: caught
+			// while installing the table, not by a lookup that indexes it.
+			h, err := parseHeader(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(h.sections[dict1Base+frozenSorted], 0x7fffffff)
+			return b
+		}), ErrCorrupt},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
