@@ -39,17 +39,19 @@ func NewFrozenStrings(blob []byte, off []int64, sorted []uint32) (*FrozenStrings
 	if off[0] != 0 || off[n] != int64(len(blob)) {
 		return nil, fmt.Errorf("kb: frozen strings: offsets [%d..%d] do not cover blob of %d bytes", off[0], off[n], len(blob))
 	}
-	for i := 0; i < n; i++ {
-		if off[i] > off[i+1] {
-			return nil, fmt.Errorf("kb: frozen strings: offsets decrease at %d", i)
-		}
-	}
 	if sorted != nil && len(sorted) != n {
 		return nil, fmt.Errorf("kb: frozen strings: sorted permutation has %d entries, want %d", len(sorted), n)
 	}
-	for i, idx := range sorted {
-		if int64(idx) >= int64(n) {
-			return nil, fmt.Errorf("kb: frozen strings: sorted entry %d is %d, want below %d", i, idx, n)
+	// One integer pass checks both tables: it runs on every snapshot open,
+	// over the largest dictionaries.
+	prev := off[0]
+	for i, o := range off[1:] {
+		if o < prev {
+			return nil, fmt.Errorf("kb: frozen strings: offsets decrease at %d", i)
+		}
+		prev = o
+		if sorted != nil && int64(sorted[i]) >= int64(n) {
+			return nil, fmt.Errorf("kb: frozen strings: sorted entry %d is %d, want below %d", i, sorted[i], n)
 		}
 	}
 	return &FrozenStrings{blob: blob, off: off, sorted: sorted}, nil
@@ -122,17 +124,21 @@ func NewFrozenInterner(fs *FrozenStrings) *Interner {
 
 // Freeze snapshots the interner's current contents as a frozen table with
 // lookup support (token ID i maps to string i, preserving the dense ID
-// space). A frozen interner returns its own table. The string table is
-// append-only, so only reading its length needs the lock: the sort runs
-// without blocking concurrent lookups.
+// space). A frozen interner returns its own table. The sort runs outside
+// the interner's lock, so it does not block concurrent lookups.
 func (in *Interner) Freeze() *FrozenStrings {
 	if in.frozen != nil {
 		return in.frozen
 	}
+	return FreezeStrings(in.liveStrings(), true)
+}
+
+// liveStrings returns the token table as of now. Tokens are only ever
+// appended, so the returned prefix never changes after the lock is dropped.
+func (in *Interner) liveStrings() []string {
 	in.mu.Lock()
-	strs := in.strs
-	in.mu.Unlock()
-	return FreezeStrings(strs, true)
+	defer in.mu.Unlock()
+	return in.strs
 }
 
 // FreezeWithOrder is Freeze with the lookup permutation supplied by the
@@ -141,16 +147,11 @@ func (in *Interner) Freeze() *FrozenStrings {
 // string order of the interner's tokens; its shape (length, range) is
 // validated, its ordering is not.
 func (in *Interner) FreezeWithOrder(sorted []uint32) (*FrozenStrings, error) {
-	var blob []byte
-	var off []int64
-	if in.frozen != nil {
-		blob, off, _ = in.frozen.Parts()
-	} else {
-		in.mu.Lock()
-		strs := in.strs
-		in.mu.Unlock()
-		blob, off, _ = FreezeStrings(strs, false).Parts()
+	table := in.frozen
+	if table == nil {
+		table = FreezeStrings(in.liveStrings(), false)
 	}
+	blob, off, _ := table.Parts()
 	return NewFrozenStrings(blob, off, sorted)
 }
 
@@ -177,7 +178,7 @@ func (t *symtab) freeze() *FrozenStrings {
 		return t.frozen
 	}
 	t.mu.Lock()
-	strs := t.strs
+	strs := t.strs // append-only: this prefix never changes
 	t.mu.Unlock()
 	return FreezeStrings(strs, true)
 }

@@ -107,31 +107,48 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
 	}
 
-	dict1, err := decodeDict(h, copyMode, dict1Base, "dict1")
+	// The dictionaries and schemas are independent of each other, and so
+	// are the sections that use them, so each group decodes concurrently:
+	// the wall clock of an open is its slowest section per group (the
+	// largest dictionary's permutation check, then one KB), not the sum.
+	// Every goroutine only reads the shared header and writes its own
+	// variables.
+	var (
+		dict1, dict2     *kb.Interner
+		schema1, schema2 *kb.Schema
+	)
+	err = concurrently(
+		func() (err error) {
+			dict1, err = decodeDict(h, copyMode, dict1Base, "dict1")
+			return err
+		},
+		func() (err error) {
+			if h.flags&flagSharedDict == 0 {
+				dict2, err = decodeDict(h, copyMode, dict2Base, "dict2")
+			}
+			return err
+		},
+		func() (err error) {
+			schema1, err = decodeSchema(h, copyMode, schema1PredsBase, schema1AttrsBase, schema1ValsBase, "schema1")
+			return err
+		},
+		func() (err error) {
+			if h.flags&flagSharedSchema == 0 {
+				schema2, err = decodeSchema(h, copyMode, schema2PredsBase, schema2AttrsBase, schema2ValsBase, "schema2")
+			}
+			return err
+		},
+	)
 	if err != nil {
 		return nil, err
 	}
-	dict2 := dict1
-	if h.flags&flagSharedDict == 0 {
-		if dict2, err = decodeDict(h, copyMode, dict2Base, "dict2"); err != nil {
-			return nil, err
-		}
+	if dict2 == nil {
+		dict2 = dict1
 	}
-	schema1, err := decodeSchema(h, copyMode, schema1PredsBase, schema1AttrsBase, schema1ValsBase, "schema1")
-	if err != nil {
-		return nil, err
-	}
-	schema2 := schema1
-	if h.flags&flagSharedSchema == 0 {
-		if schema2, err = decodeSchema(h, copyMode, schema2PredsBase, schema2AttrsBase, schema2ValsBase, "schema2"); err != nil {
-			return nil, err
-		}
+	if schema2 == nil {
+		schema2 = schema1
 	}
 
-	// The remaining sections are independent of each other, so they decode
-	// concurrently — for large snapshots the wall clock of an open is the
-	// SLOWEST section (one KB's description materialization), not the sum.
-	// Every goroutine only reads the shared header and writes its own slot.
 	var (
 		k1, k2         *kb.KB
 		ranks1, ranks2 []int32
@@ -139,58 +156,43 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 		nameBlocks     *blocking.Collection
 		tokenIx        *blocking.TokenIndex
 	)
-	errs := make([]error, 5)
-	var wg sync.WaitGroup
-	part := func(i int, fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = fn()
-		}()
-	}
-	part(0, func() error {
-		var err error
-		if k1, err = decodeKB(h, copyMode, kb1Base, meta.K1Name, meta.K1Triples, dict1, schema1); err != nil {
-			return fmt.Errorf("kb1: %w", err)
-		}
-		return nil
-	})
-	part(1, func() error {
-		var err error
-		if k2, err = decodeKB(h, copyMode, kb2Base, meta.K2Name, meta.K2Triples, dict2, schema2); err != nil {
-			return fmt.Errorf("kb2: %w", err)
-		}
-		return nil
-	})
-	part(2, func() error {
-		var err error
-		if ranks1, err = readI32Section[int32](h, copyMode, secRanks1, "ranks1"); err != nil {
+	err = concurrently(
+		func() (err error) {
+			if k1, err = decodeKB(h, copyMode, kb1Base, meta.K1Name, meta.K1Triples, dict1, schema1); err != nil {
+				return fmt.Errorf("kb1: %w", err)
+			}
+			return nil
+		},
+		func() (err error) {
+			if k2, err = decodeKB(h, copyMode, kb2Base, meta.K2Name, meta.K2Triples, dict2, schema2); err != nil {
+				return fmt.Errorf("kb2: %w", err)
+			}
+			return nil
+		},
+		func() (err error) {
+			if ranks1, err = readI32Section[int32](h, copyMode, secRanks1, "ranks1"); err != nil {
+				return err
+			}
+			if ranks2, err = readI32Section[int32](h, copyMode, secRanks2, "ranks2"); err != nil {
+				return err
+			}
+			if top1, err = nestedSection[kb.EntityID](h, copyMode, secTop1Off, secTop1Flat, "top1"); err != nil {
+				return err
+			}
+			top2, err = nestedSection[kb.EntityID](h, copyMode, secTop2Off, secTop2Flat, "top2")
 			return err
-		}
-		if ranks2, err = readI32Section[int32](h, copyMode, secRanks2, "ranks2"); err != nil {
+		},
+		func() (err error) {
+			nameBlocks, err = decodeNameBlocks(h, copyMode)
 			return err
-		}
-		if top1, err = nestedSection[kb.EntityID](h, copyMode, secTop1Off, secTop1Flat, "top1"); err != nil {
+		},
+		func() (err error) {
+			tokenIx, err = decodeTokenIndex(h, copyMode, dict1)
 			return err
-		}
-		top2, err = nestedSection[kb.EntityID](h, copyMode, secTop2Off, secTop2Flat, "top2")
-		return err
-	})
-	part(3, func() error {
-		var err error
-		nameBlocks, err = decodeNameBlocks(h, copyMode)
-		return err
-	})
-	part(4, func() error {
-		var err error
-		tokenIx, err = decodeTokenIndex(h, copyMode, dict1)
-		return err
-	})
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+		},
+	)
+	if err != nil {
+		return nil, err
 	}
 
 	sub, err := core.SubstrateFromParts(core.SubstrateParts{
@@ -213,6 +215,28 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 		}
 	}
 	return sub, nil
+}
+
+// concurrently runs each part on its own goroutine and waits for all of
+// them. It returns the error of the first failing part in argument order,
+// so the same bytes always report the same error.
+func concurrently(parts ...func() error) error {
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	wg.Add(len(parts))
+	for i, part := range parts {
+		go func() {
+			defer wg.Done()
+			errs[i] = part()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // decodeDict reads a frozen dictionary trio; the sorted permutation is

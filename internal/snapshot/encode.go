@@ -214,7 +214,7 @@ type frozenTables struct {
 // as tasks on the substrate's query engine, so a one-worker configuration
 // stays sequential. Shared dictionaries are frozen once.
 func freezeTables(sub *core.Substrate, p core.SubstrateParts) (*frozenTables, error) {
-	ctx := context.Background()
+	ctx := context.TODO() // WriteSubstrate takes no context
 	t := &frozenTables{
 		sharedDict:      p.K2.TokenDict() == p.K1.TokenDict(),
 		sharedSchema:    p.K2.Schema() == p.K1.Schema(),

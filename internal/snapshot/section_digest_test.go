@@ -131,10 +131,23 @@ func TestSectionDigests(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown fixture %q", w.Fixture)
 			}
-			got := sectionDigest(t, snapshotBytes(t, sub))
+			data := snapshotBytes(t, sub)
+			got := sectionDigest(t, data)
 			got.Fixture = w.Fixture
 			if got != w {
 				t.Errorf("workers=%d: %+v differs from pinned %+v", workers, got, w)
+			}
+			// A substrate loaded from the file writes the same sections
+			// again: its dictionaries are frozen tables and its joint
+			// token dictionary comes from the file, not from a build.
+			loaded, err := ReadSubstrate(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := sectionDigest(t, snapshotBytes(t, loaded.Substrate()))
+			again.Fixture = w.Fixture
+			if again != w {
+				t.Errorf("workers=%d: rewritten snapshot %+v differs from pinned %+v", workers, again, w)
 			}
 		}
 	}
