@@ -130,29 +130,10 @@ func (in *Interner) Freeze() *FrozenStrings {
 	if in.frozen != nil {
 		return in.frozen
 	}
-	return FreezeStrings(in.liveStrings(), true)
-}
-
-// liveStrings returns the token table as of now. Tokens are only ever
-// appended, so the returned prefix never changes after the lock is dropped.
-func (in *Interner) liveStrings() []string {
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.strs
-}
-
-// FreezeWithOrder is Freeze with the lookup permutation supplied by the
-// caller instead of sorted — for a dictionary whose string order is already
-// known, such as one that merges two frozen dictionaries. sorted must be the
-// string order of the interner's tokens; its shape (length, range) is
-// validated, its ordering is not.
-func (in *Interner) FreezeWithOrder(sorted []uint32) (*FrozenStrings, error) {
-	table := in.frozen
-	if table == nil {
-		table = FreezeStrings(in.liveStrings(), false)
-	}
-	blob, off, _ := table.Parts()
-	return NewFrozenStrings(blob, off, sorted)
+	strs := in.strs // append-only: this prefix never changes
+	in.mu.Unlock()
+	return FreezeStrings(strs, true)
 }
 
 // NewFrozenSchema wraps three frozen tables (predicates, attribute names,

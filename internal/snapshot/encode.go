@@ -117,24 +117,22 @@ func (sw *secWriter) addFrozen(base uint32, fs *kb.FrozenStrings) {
 	}
 }
 
-// addRows appends the offset section of a ragged CSR: the element-count
-// offsets of rows, computed from the row lengths.
-func addRows[T any](sw *secWriter, offID uint32, rows [][]T) {
+// addRows appends the offset section of a ragged CSR — the element-count
+// offsets of rows, computed from the row lengths — and returns the total
+// element count.
+func addRows[T any](sw *secWriter, offID uint32, rows [][]T) int64 {
 	off := make([]int64, len(rows)+1)
 	for i, r := range rows {
 		off[i+1] = off[i] + int64(len(r))
 	}
 	sw.add(offID, leBytes(off))
+	return off[len(rows)]
 }
 
 // addEntityCSR appends a ragged entity-ID CSR as its offset section and a
 // flat section written row by row straight from the rows.
 func (sw *secWriter) addEntityCSR(offID, flatID uint32, rows [][]kb.EntityID) {
-	addRows(sw, offID, rows)
-	var n int64
-	for _, r := range rows {
-		n += int64(len(r))
-	}
+	n := addRows(sw, offID, rows)
 	sw.secs = append(sw.secs, section{flatID, 4 * n, func(w io.Writer) error {
 		for _, r := range rows {
 			if _, err := w.Write(leBytes(r)); err != nil {
@@ -149,11 +147,7 @@ func (sw *secWriter) addEntityCSR(offID, flatID uint32, rows [][]kb.EntityID) {
 // after To, so they are encoded (padding written as zero) through the
 // shared chunk buffer rather than viewed.
 func (sw *secWriter) addEdgeCSR(offID, flatID uint32, rows [][]graph.Edge) {
-	addRows(sw, offID, rows)
-	var n int64
-	for _, r := range rows {
-		n += int64(len(r))
-	}
+	n := addRows(sw, offID, rows)
 	sw.secs = append(sw.secs, section{flatID, edgeSize * n, func(w io.Writer) error {
 		if sw.edgeBuf == nil {
 			sw.edgeBuf = make([]byte, edgeChunk*edgeSize)
@@ -226,8 +220,8 @@ func freezeTables(sub *core.Substrate, p core.SubstrateParts) (*frozenTables, er
 			return nil
 		}
 	}
-	// Workers claim tasks in list order, so the typically largest tables
-	// (K2's, the richer side in the paper's pairs) go first.
+	// Workers claim tasks in list order, so K2's tables go first: in the
+	// paper's pairs the second KB is usually the larger.
 	var tasks []func() error
 	if !t.sharedSchema {
 		tasks = append(tasks, freezeSchema(p.K2.Schema(), &t.schema2))
@@ -252,6 +246,9 @@ func freezeTables(sub *core.Substrate, p core.SubstrateParts) (*frozenTables, er
 	err := sub.QueryEngine().Chunked().ForCtx(ctx, len(tasks), func(i int) error { return tasks[i]() })
 	if err != nil {
 		return nil, err
+	}
+	if t.sharedDict {
+		t.dict2 = t.dict1
 	}
 	return t, nil
 }
@@ -383,19 +380,18 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 	addNameBlocks(sw, p.NameBlocks)
 
 	if !t.tokenDictShared {
-		dict2 := t.dict2
-		if t.sharedDict {
-			dict2 = t.dict1
-		}
-		order, err := jointDictOrder(t.dict1, dict2, ix.T1, ix.T2, ix.Dict.Len())
+		order, err := jointDictOrder(t.dict1, t.dict2, ix.T1, ix.T2, ix.Dict.Len())
 		if err != nil {
 			return err
 		}
-		joint, err := ix.Dict.FreezeWithOrder(order)
-		if err != nil {
-			return fmt.Errorf("snapshot: joint token dictionary: %w", err)
+		strs := make([]string, ix.Dict.Len())
+		for i := range strs {
+			strs[i] = ix.Dict.TokenString(kb.TokenID(i))
 		}
-		sw.addFrozen(jointDictBase, joint)
+		blob, off, _ := kb.FreezeStrings(strs, false).Parts()
+		sw.add(jointDictBase+frozenBlob, blob)
+		sw.add(jointDictBase+frozenOff, leBytes(off))
+		sw.add(jointDictBase+frozenSorted, leBytes(order))
 		sw.add(secTokT1, leBytes(ix.T1))
 		sw.add(secTokT2, leBytes(ix.T2))
 	}
